@@ -142,6 +142,8 @@ def _attack(t: Transcript, sides: SideSpec) -> AttackReport:
     field = t.field
     snap = field.ops.snapshot()
     t0 = time.perf_counter()
+    # a wrong listed inverse would silently skew every span built below
+    sides.validate()
     m1, s1 = _stage(1, t.w, t.x, t.u, sides)
     m2, s2 = _stage(2, t.h, t.y, m1, sides)
     key, s3 = _stage(3, t.z, t.v, m2, sides)

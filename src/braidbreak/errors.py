@@ -20,7 +20,7 @@ class NotInSpanError(BraidbreakError):
 
 class RelationValidationError(BraidbreakError):
     """A representation's generator images violate the braid relations
-    or are not invertible."""
+    or are not invertible, or a listed inverse image is wrong."""
 
 
 class ProtocolInternalError(BraidbreakError):

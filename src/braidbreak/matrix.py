@@ -1,18 +1,19 @@
-"""Dense exact matrix/vector algebra over F_p and incremental RREF.
+"""Dense exact matrix/vector algebra over F_p and blocked RREF.
 
 The ambient vector space of the span machinery is the flattening of the m x m
-matrix algebra (dimension m^2). Everything here is exact: on the fast path
-(p <= FAST_PATH_MAX) arrays are int64 and matrix products run as four
-float64 BLAS multiplies on 16-bit limbs, which is exact because every
-intermediate is an integer below 2^53; larger moduli fall back to python
-bigint (object-dtype) arrays.
-
-All bulk kernels report their multiplication/addition counts to the owning
-field's OpCounter, so counted totals match the scalar-op semantics.
+matrix algebra (dimension m^2). Everything is exact: on the fast path
+(p <= FAST_PATH_MAX) arrays are int64 and gemm_mod runs three float64 BLAS
+multiplies on 16-bit limbs (Karatsuba); larger moduli fall back to python
+bigint (object-dtype) arrays. Elimination has one kernel, row_rank_profile,
+which halves blocks so that nearly all its work is gemm_mod (Jeannerod,
+Pernet and Storjohann, "Rank-profile revealing Gaussian elimination and the
+CUP matrix decomposition", JSC 2013). All kernels report their counted
+multiplications/additions to the field's OpCounter.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,38 @@ from .field import PrimeField
 
 _LIMB_MASK = (1 << 16) - 1
 
-# float64-limb GEMM is exact while accumulation depth * 2^32 < 2^53
-_MAX_GEMM_DEPTH = 1 << 20
+# Deeper fast-path products run in chunks. The exactness limit of every
+# fast-path modulus lies between 2^15 and this cap, so tests reach it.
+_MAX_GEMM_DEPTH = 1 << 17
+
+# Output entries per slice of a fast-path product's int64 tail, which then
+# stays in cache.
+_TAIL_SLICE = 1 << 15
+
+# Blocks of at most this many rows are profiled row by row, larger ones are
+# halved. 16, 32 and 48 tie on the benchmark workloads; 32 inverts the
+# 24..45-dimensional representation matrices fastest.
+_LEAF = 32
+
+# Arrays below this many entries are reduced mod p with numpy's remainder.
+_SMALL = 1024
+
+
+@functools.lru_cache(maxsize=None)
+def gemm_depth_limit(p: int) -> int:
+    """Deepest fast-path product that gemm_mod computes in one piece.
+
+    With a = a1 * 2^16 + a0, the float64 products D2 = A1 B1, D0 = A0 B0 and
+    Ds = (A1 + A0)(B1 + B0) are exact while Ds < 2^53, and the int64 tail
+    D2 * 2^16 + (Ds - D2 - D0) must stay below 2^63.
+    """
+    hi = (p - 1) >> 16  # largest high limb
+    lo = min(p - 1, _LIMB_MASK)  # largest low limb
+    top = max(hi + ((p - 1) & _LIMB_MASK), hi - 1 + lo) if hi else p - 1
+    limit = ((1 << 53) - 1) // (top * top)
+    if hi:
+        limit = min(limit, ((1 << 63) - 1) // ((hi * hi << 16) + 2 * hi * lo))
+    return min(limit, _MAX_GEMM_DEPTH)
 
 
 def gemm_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -33,45 +64,84 @@ def gemm_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     multiplications and k*n*(r-1) additions per batch element.
     """
     p = field.p
-    k, r = a.shape[-2], a.shape[-1]
-    n = b.shape[-1]
-    batch = int(np.prod(a.shape[:-2], dtype=np.int64)) if a.ndim > 2 else 1
-    batch = max(batch, int(np.prod(b.shape[:-2], dtype=np.int64)) if b.ndim > 2 else 1)
+    k, r, n = a.shape[-2], a.shape[-1], b.shape[-1]
+    batch = max(int(np.prod(a.shape[:-2])), int(np.prod(b.shape[:-2])))
     field.ops.mul_count += batch * k * r * n
     field.ops.add_count += batch * k * n * max(r - 1, 0)
 
     if field.dtype is object:
-        if a.ndim <= 2 and b.ndim <= 2:
-            return np.dot(a, b) % p
-        a2, b2 = np.broadcast_arrays(a, b) if a.ndim == b.ndim else (a, b)
-        if a.ndim != b.ndim:
-            raise ValueError("object-dtype batched gemm needs equal ndim")
-        shape = a2.shape[:-2]
-        out = np.empty(shape + (k, n), dtype=object)
-        for idx in np.ndindex(*shape):
-            out[idx] = np.dot(a2[idx], b2[idx]) % p
-        return out
-
-    if r > _MAX_GEMM_DEPTH:
-        raise ValueError(f"gemm depth {r} exceeds exact float64 limit")
+        return np.matmul(a, b) % p
     if a.ndim == 2 and b.ndim == 2 and k == 1:
         # single-row product: elementwise multiply, reduce mod p, then sum
         # (residues < 2^32, so a length-r column sum cannot overflow int64)
-        prod = a[0][:, None] * b % p
-        return np.add.reduce(prod, axis=0)[None, :] % p
-    a1 = (a >> 16).astype(np.float64)
-    a0 = (a & _LIMB_MASK).astype(np.float64)
-    b1 = (b >> 16).astype(np.float64)
-    b0 = (b & _LIMB_MASK).astype(np.float64)
-    # each product term is an exact integer < 2^53
-    d11 = np.matmul(a1, b1).astype(np.int64) % p
-    d10 = np.matmul(a1, b0).astype(np.int64)
-    d01 = np.matmul(a0, b1).astype(np.int64)
-    d00 = np.matmul(a0, b0).astype(np.int64) % p
-    dmid = (d10 + d01) % p
-    s32 = (1 << 32) % p
-    s16 = (1 << 16) % p
-    return (d11 * s32 % p + dmid * s16 % p + d00) % p
+        prod = _mod(p, a[0][:, None] * b)
+        return _mod(p, np.add.reduce(prod, axis=0)[None, :])
+    step = gemm_depth_limit(p)
+    if r <= step:
+        return _gemm_limbs(p, a, b)
+    out = _gemm_limbs(p, a[..., :step], b[..., :step, :])
+    for lo in range(step, r, step):
+        out += _gemm_limbs(p, a[..., lo : lo + step], b[..., lo : lo + step, :])
+    return _mod(p, out)
+
+
+def _gemm_limbs(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Fast-path gemm_mod of depth <= gemm_depth_limit(p).
+
+    The three limb products are whole BLAS calls. Sliced, each would be a
+    threaded call of well under a millisecond, and such a call stalls for a
+    scheduler time slice whenever another process holds one of the CPUs.
+    Only the int64 tail runs in slices, which stay in cache.
+    """
+    d2, d0, mid = (np.matmul(x, y) for x, y in zip(_limbs(a), _limbs(b)))
+    mid -= d2
+    mid -= d0  # A1 B0 + A0 B1, exact
+    out = np.empty(d2.shape, dtype=np.int64)
+    flat = [x.reshape(-1) for x in (out, d2, mid, d0)]
+    scratch = np.empty(min(out.size, _TAIL_SLICE), dtype=np.int64)
+    for lo in range(0, out.size, _TAIL_SLICE):
+        y, hi, md, low = (x[lo : lo + _TAIL_SLICE] for x in flat)
+        t = scratch[: y.size]
+        # ((D2 * 2^16 + mid) mod p) * 2^16 + D0 < 2^50, then mod p
+        np.copyto(y, hi, casting="unsafe")
+        y <<= 16
+        np.copyto(t, md, casting="unsafe")
+        y += t
+        _mod(p, y, t)
+        y <<= 16
+        np.copyto(t, low, casting="unsafe")
+        y += t
+        _mod(p, y, t)
+    return out
+
+
+def _limbs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """High limb, low limb and their sum, as float64."""
+    hi, lo = (x >> 16).astype(np.float64), (x & _LIMB_MASK).astype(np.float64)
+    return hi, lo, hi + lo
+
+
+def _mod(p: int, y: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """y mod p for a fresh nonnegative array y. Large int64 arrays are reduced
+    in place through a floor division, which numpy runs several times faster
+    than a remainder but in three calls, which cost more on small arrays."""
+    if y.dtype == object or y.size < _SMALL:
+        return np.remainder(y, p, out=y)
+    q = np.floor_divide(y, p, out=scratch)
+    q *= p
+    y -= q
+    return y
+
+
+def _sub_mod(field: PrimeField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(x - y) mod p for residue arrays, over the fresh array y if large;
+    counts one addition per entry."""
+    field.ops.add_count += y.size
+    if y.dtype == object or y.size < _SMALL:
+        return (x - y) % field.p
+    np.subtract(x, y, out=y)
+    y += (y >> 63) & field.p
+    return y
 
 
 @dataclass(frozen=True)
@@ -122,26 +192,8 @@ class SquareMatrix:
         return SquareMatrix(self.field, self.a * c % self.field.p)
 
     def inverse(self) -> "SquareMatrix":
-        """Exact inverse via Gauss-Jordan; raises SingularMatrixError."""
-        f, p, m = self.field, self.field.p, self.dim
-        aug = np.concatenate([self.a.copy(), f.identity_array(m)], axis=1)
-        for c in range(m):
-            sub = aug[c:, c]
-            nz = np.nonzero(sub)[0]
-            if len(nz) == 0:
-                raise SingularMatrixError(f"singular matrix (rank < {m})")
-            r = c + int(nz[0])
-            if r != c:
-                aug[[c, r]] = aug[[r, c]]
-            inv = f.inverse_int(int(aug[c, c]))
-            aug[c] = aug[c] * inv % p
-            f.ops.mul_count += 2 * m
-            col = aug[:, c].copy()
-            col[c] = 0
-            aug = (aug - col[:, None] * aug[c][None, :]) % p
-            f.ops.mul_count += 2 * m * m
-            f.ops.add_count += 2 * m * m
-        return SquareMatrix(f, aug[:, m:])
+        """Exact inverse; raises SingularMatrixError."""
+        return SquareMatrix(self.field, _inverse(self.field, self.a))
 
     def flatten(self) -> "FlatVector":
         """Row-major flattening; the fixed linear bijection with unflatten."""
@@ -196,32 +248,93 @@ def unflatten(field: PrimeField, vec: FlatVector, m: int) -> SquareMatrix:
     return SquareMatrix(field, vec.v.reshape(m, m).copy())
 
 
-class EchelonState:
-    """Reduced row-echelon form built one vector at a time.
+def row_rank_profile(
+    field: PrimeField, x: np.ndarray
+) -> tuple[list[int], list[int], np.ndarray]:
+    """Greedy row rank profile of a residue block x of shape (k, c).
 
-    Alongside the reduced rows it retains a transformation record: row i is
-    stored together with its expression in the originally inserted
-    (independent) vectors, which is what coordinate extraction needs.
-
-    Internally rows live in two tiers: "settled" rows are mutually reduced
-    (true RREF), while rows accepted since the last settling are only
-    reduced against everything before them. Settling batches the mutual
-    clearing into a few matrix products; callers never see the split since
-    every read path settles first. Single-writer; completed states may be
-    read concurrently.
+    Row i is accepted iff it is independent of the rows before it; its pivot
+    is the first nonzero column of its residual against them. Returns the
+    accepted rows and their pivots, in order, and the RREF of x's row space,
+    reduced row j holding the identity at the pivots. Above _LEAF rows the
+    top half is profiled, the bottom half reduced against it in one product
+    on the non-pivot columns, its zero rows dropped and the rest profiled;
+    a second product clears the top rows at the new pivots.
     """
+    k, cols = x.shape
+    if k <= _LEAF:
+        return _profile_rows(field, x)
+    half = k // 2
+    rows, pivots, top = row_rank_profile(field, x[:half])
+    rest = np.delete(np.arange(cols), pivots)
+    low = x[half:, rest]
+    if pivots:
+        low = _sub_mod(field, low, gemm_mod(field, x[half:, pivots], top[:, rest]))
+    live = np.flatnonzero(low.any(axis=1))
+    rows2, pivots2, bottom = row_rank_profile(field, low[live])
+    if not rows2:
+        return rows, pivots, top
+    if rows:
+        upd = gemm_mod(field, top[:, rest[pivots2]], bottom)
+        top[:, rest] = _sub_mod(field, top[:, rest], upd)
+    red = field.zeros((len(rows) + len(rows2), cols))
+    red[: len(rows)] = top
+    red[len(rows) :, rest] = bottom
+    rows += [half + int(live[i]) for i in rows2]
+    return rows, pivots + rest[pivots2].tolist(), red
 
-    # flush the per-candidate python loop into one gemm whenever this many
-    # rows accumulated since the last block reduction
-    _BLOCK = 64
+
+def _profile_rows(field: PrimeField, x: np.ndarray):
+    """row_rank_profile of a small block: Gauss-Jordan, one row at a time."""
+    p, x = field.p, x.copy()
+    rows, pivots = [], []
+    for i in range(x.shape[0]):
+        nz = x[i].nonzero()[0]
+        if not len(nz):
+            continue
+        j = int(nz[0])
+        x[i] = _mod(p, x[i] * field.inverse_int(int(x[i, j])))
+        col = x[:, j].copy()
+        col[i] = 0
+        # clears column j from the rows still to come and the rows accepted
+        x = _sub_mod(field, x, _mod(p, col[:, None] * x[i]))
+        field.ops.mul_count += x.size + x.shape[1]
+        rows.append(i)
+        pivots.append(j)
+    return rows, pivots, x[rows]
+
+
+def _inverse(field: PrimeField, a: np.ndarray) -> np.ndarray:
+    """Inverse of a square residue array, from the profile of [a | I]: its
+    pivots all fall in the first m columns iff a is invertible, and the
+    reduced row with pivot j then ends in row j of the inverse."""
+    m = a.shape[0]
+    _, pivots, red = row_rank_profile(
+        field, np.concatenate([a, field.identity_array(m)], axis=1)
+    )
+    if pivots and max(pivots) >= m:
+        raise SingularMatrixError(f"singular matrix (rank < {m})")
+    inv = field.zeros((m, m))
+    inv[pivots] = red[:, m:]
+    return inv
+
+
+class EchelonState:
+    """RREF of the span of the vectors fed so far: one reduced row per
+    accepted vector, with the identity at pivot_cols. The accepted vectors
+    are kept as given; since rows = T @ originals, T is the inverse of
+    originals[:, pivot_cols], which solve computes once per rank.
+    Single-writer; completed states may be read concurrently.
+    """
 
     def __init__(self, field: PrimeField, ambient: int):
         self.field = field
         self.ambient = ambient
         self.pivot_cols: list[int] = []
-        self._rows = field.zeros((16, ambient))
-        self._tr = field.zeros((16, 16))
-        self._settled = 0
+        self._rows = field.zeros((0, ambient))
+        self._orig = field.zeros((0, ambient))
+        self._free = np.arange(ambient)  # the non-pivot columns, ascending
+        self._transform: tuple[int, np.ndarray] | None = None  # (rank, T)
 
     @property
     def rank(self) -> int:
@@ -229,192 +342,75 @@ class EchelonState:
 
     @property
     def rows(self) -> np.ndarray:
-        """Read-only view of the reduced rows (rank x ambient)."""
-        self._settle()
-        return self._rows[: self.rank]
-
-    def _grow(self, need: int) -> None:
-        cap = self._rows.shape[0]
-        if need <= cap:
-            return
-        while cap < need:
-            cap *= 2
-        rows = self.field.zeros((cap, self.ambient))
-        rows[: self.rank] = self._rows[: self.rank]
-        tr = self.field.zeros((cap, cap))
-        tr[: self.rank, : self.rank] = self._tr[: self.rank, : self.rank]
-        self._rows, self._tr = rows, tr
+        """The reduced rows (rank x ambient); do not modify."""
+        return self._rows
 
     def _as_vec(self, v) -> np.ndarray:
         if isinstance(v, FlatVector):
             v = v.v
-        v = np.asarray(v)
+        v = np.asarray(v) % self.field.p
         if v.shape != (self.ambient,):
             raise ValueError(f"expected vector of length {self.ambient}")
         return v
 
-    def _clear_among(self, lo: int, hi: int) -> None:
-        """Mutually clear rows[lo:hi] among themselves (backward pass).
-
-        Later rows are already reduced against earlier ones, so clearing the
-        pivots back to front leaves the block in mutual RREF. Row updates and
-        transform-record updates stay in lockstep.
-        """
-        f, p = self.field, self.field.p
-        for j in range(hi - lo - 1, 0, -1):
-            col = self._rows[lo : lo + j, self.pivot_cols[lo + j]].copy()
-            if col.any():
-                row = self._rows[lo + j]
-                self._rows[lo : lo + j] = (
-                    self._rows[lo : lo + j] - col[:, None] * row[None, :]
-                ) % p
-                trow = self._tr[lo + j, :hi]
-                self._tr[lo : lo + j, :hi] = (
-                    self._tr[lo : lo + j, :hi] - col[:, None] * trow[None, :]
-                ) % p
-                f.ops.mul_count += j * (self.ambient + hi)
-                f.ops.add_count += j * (self.ambient + hi)
-
-    def _settle(self) -> None:
-        """Restore the full mutual-clearing invariant."""
-        f, p = self.field, self.field.p
-        base, r = self._settled, self.rank
-        kp = r - base
-        if kp == 0:
-            return
-        self._clear_among(base, r)
-        pend = self._rows[base:r]
-        pend_tr = self._tr[base:r, :r]
-        if base:
-            piv = self.pivot_cols[base:]
-            coeff = self._rows[:base, piv] % p
-            self._rows[:base] = (
-                self._rows[:base] - gemm_mod(f, coeff, pend)
-            ) % p
-            self._tr[:base, :r] = (
-                self._tr[:base, :r] - gemm_mod(f, coeff, pend_tr)
-            ) % p
-            f.ops.add_count += base * (self.ambient + r)
-        self._settled = r
+    def _residual(self, block: np.ndarray) -> np.ndarray:
+        """block reduced by the rows, on the free columns only (it vanishes
+        on the pivot columns)."""
+        res = block[:, self._free]
+        if self.rank:
+            upd = gemm_mod(self.field, block[:, self.pivot_cols], self._rows[:, self._free])
+            res = _sub_mod(self.field, res, upd)
+        return res
 
     def extend_batch(self, block) -> np.ndarray:
         """Feed candidate rows in order; returns a boolean mask of acceptances.
 
-        Equivalent to calling try_extend row by row, but reduces against the
-        pre-existing rows in one matrix product.
+        Equivalent to calling try_extend row by row: the accepted rows are
+        the row rank profile of the block on top of the current rows.
         """
-        f, p = self.field, self.field.p
+        f = self.field
         block = np.asarray(block)
         if block.ndim != 2 or block.shape[1] != self.ambient:
             raise ValueError(f"expected (k, {self.ambient}) block")
-        self._settle()
-        base = self.rank
-        orig = block % p
-        if base:
-            coeff = orig[:, self.pivot_cols]
-            red = (orig - gemm_mod(f, coeff, self._rows[:base])) % p
-            f.ops.add_count += red.size
-        else:
-            red = orig.copy()
-        k = block.shape[0]
-        accepted = np.zeros(k, dtype=bool)
-        # coefficients of each candidate against rows accepted this batch
-        pend_cf = f.zeros((k, 16))
-        fresh: list[int] = []  # batch-local indices not yet block-applied
-        for i in range(k):
-            v = red[i]
-            for j in fresh:
-                c = v[self.pivot_cols[base + j]]
-                if c:
-                    v = (v - int(c) * self._rows[base + j]) % p
-                    f.ops.mul_count += self.ambient
-                    f.ops.add_count += self.ambient
-                pend_cf[i, j] = c
-            if not v.any():
-                continue
-            nb = self.rank - base
-            if nb >= pend_cf.shape[1]:
-                wider = f.zeros((k, pend_cf.shape[1] * 2))
-                wider[:, : pend_cf.shape[1]] = pend_cf
-                pend_cf = wider
-            self._accept_pending(v, orig[i], pend_cf[i, :nb], base)
-            accepted[i] = True
-            fresh.append(nb)
-            if len(fresh) >= self._BLOCK and i + 1 < k:
-                # single-pass coefficient extraction against the block needs
-                # the block itself in mutual RREF first
-                lo, hi = base + fresh[0], base + fresh[-1] + 1
-                self._clear_among(lo, hi)
-                piv = self.pivot_cols[lo:hi]
-                sub = red[i + 1 :, piv] % p
-                pend_cf[i + 1 :, fresh[0] : fresh[-1] + 1] = sub
-                red[i + 1 :] = (
-                    red[i + 1 :] - gemm_mod(f, sub, self._rows[lo:hi])
-                ) % p
-                f.ops.add_count += red[i + 1 :].size
-                fresh = []
+        if block.size and (block.min() < 0 or block.max() >= f.p):
+            block = block % f.p
+        res = self._residual(block)
+        live = np.flatnonzero(res.any(axis=1))
+        rows, piv, red = row_rank_profile(f, res[live])
+        accepted = np.zeros(block.shape[0], dtype=bool)
+        if not rows:
+            return accepted
+        new = live[rows]
+        accepted[new] = True
+        free, piv_cols = self._free, self._free[piv]
+        if self.rank:  # clear the existing rows at the new pivots
+            upd = gemm_mod(f, self._rows[:, piv_cols], red)
+            self._rows[:, free] = _sub_mod(f, self._rows[:, free], upd)
+        full = f.zeros((len(rows), self.ambient))
+        full[:, free] = red
+        self._rows = np.concatenate([self._rows, full])
+        self._orig = np.concatenate([self._orig, block[new]])
+        self.pivot_cols += piv_cols.tolist()
+        self._free = np.delete(free, piv)
         return accepted
-
-    def _accept_pending(
-        self,
-        reduced: np.ndarray,
-        original: np.ndarray,
-        pend_coeff: np.ndarray,
-        base: int,
-    ) -> None:
-        """Append a fully reduced candidate without clearing older rows."""
-        f, p, r = self.field, self.field.p, self.rank
-        self._grow(r + 1)
-        piv = int(np.nonzero(reduced)[0][0])
-        lead_inv = f.inverse_int(int(reduced[piv]))
-        self._rows[r] = reduced * lead_inv % p
-        f.ops.mul_count += self.ambient
-        # row = lead_inv * (original - sum coeff_i * row_i); the settled
-        # coefficients sit at the settled pivot columns of the original,
-        # the batch coefficients were collected during reduction
-        t_new = f.zeros(r + 1)
-        ct = f.zeros(r)
-        if base:
-            c_settled = original[self.pivot_cols[:base]] % p
-            ct[:r] += gemm_mod(f, c_settled[None, :], self._tr[:base, :r])[0]
-        if r > base:
-            ct[:r] += gemm_mod(f, pend_coeff[None, :] % p, self._tr[base:r, :r])[0]
-        t_new[:r] = (-ct) % p * lead_inv % p
-        f.ops.mul_count += r
-        f.ops.add_count += r
-        t_new[r] = lead_inv
-        self._tr[r, : r + 1] = t_new
-        self.pivot_cols.append(piv)
 
     def try_extend(self, v) -> bool:
         """Append v if independent of the current rows; False if dependent."""
-        vec = self._as_vec(v)
-        return bool(self.extend_batch(vec[None, :])[0])
+        return bool(self.extend_batch(self._as_vec(v)[None, :])[0])
 
     def in_span(self, v) -> bool:
-        self._settle()
-        f = self.field
-        vec = self._as_vec(v) % f.p
-        if self.rank == 0:
-            return not vec.any()
-        coeff = vec[self.pivot_cols]
-        red = (vec - gemm_mod(f, coeff[None, :], self._rows[: self.rank])[0]) % f.p
-        f.ops.add_count += self.ambient
-        return not red.any()
+        return not self._residual(self._as_vec(v)[None, :]).any()
 
     def solve(self, v) -> np.ndarray | None:
         """Coordinates of v in the originally inserted vectors, or None."""
-        self._settle()
-        f = self.field
-        vec = self._as_vec(v) % f.p
-        if self.rank == 0:
-            return None if vec.any() else f.zeros(0)
-        coeff = vec[self.pivot_cols] % f.p
-        red = (vec - gemm_mod(f, coeff[None, :], self._rows[: self.rank])[0]) % f.p
-        f.ops.add_count += self.ambient
-        if red.any():
+        vec = self._as_vec(v)
+        if self._residual(vec[None, :]).any():
             return None
-        return gemm_mod(f, coeff[None, :], self._tr[: self.rank, : self.rank])[0]
+        if self._transform is None or self._transform[0] != self.rank:
+            t = _inverse(self.field, self._orig[:, self.pivot_cols])
+            self._transform = (self.rank, t)
+        # v = v[pivots] @ rows = v[pivots] @ T @ originals
+        return gemm_mod(self.field, vec[None, self.pivot_cols], self._transform[1])[0]
 
 
 def solve_coordinates(basis: list[FlatVector], target: FlatVector) -> np.ndarray | None:

@@ -320,10 +320,26 @@ class FixtureData:
     words: dict[str, str]
 
 
-def _require(doc: dict, key: str):
+def _require(doc: dict, key: str, where: str = ""):
+    """doc[key]; where is the dotted path of doc, ending in a dot."""
+    if not isinstance(doc, dict):
+        raise TranscriptFormatError(f"transcript field {where[:-1]} must be an object")
     if key not in doc:
-        raise TranscriptFormatError(f"missing transcript field: {key}")
+        raise TranscriptFormatError(f"missing transcript field: {where}{key}")
     return doc[key]
+
+
+def _int(doc: dict, key: str, where: str = "") -> int:
+    """An integer field, given as a JSON integer or a decimal string."""
+    value = _require(doc, key, where)
+    try:
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            return int(value)
+    except ValueError:
+        pass
+    raise TranscriptFormatError(
+        f"transcript field {where}{key} is not an integer: {value!r}"
+    )
 
 
 def _mat(field: PrimeField, rows, dim: int, name: str) -> SquareMatrix:
@@ -355,21 +371,25 @@ def read_transcript(text: str) -> tuple[Transcript, FixtureData | None]:
     if rep_kind not in REP_KINDS:
         raise TranscriptFormatError(f"bad rep_kind {rep_kind!r}")
     try:
-        field = PrimeField(int(_require(doc, "p")))
+        field = PrimeField(_int(doc, "p"))
     except ValueError as e:
         raise TranscriptFormatError(str(e)) from e
-    n = int(_require(doc, "n"))
-    split = int(_require(doc, "split"))
-    dim = int(_require(doc, "dim"))
+    n = _int(doc, "n")
+    split = _int(doc, "split")
+    dim = _int(doc, "dim")
 
     def gens(key: str) -> tuple[LabeledGenerator, ...]:
+        entries = _require(doc, key)
+        if not isinstance(entries, list):
+            raise TranscriptFormatError(f"transcript field {key} must be a list")
         out = []
-        for gd in _require(doc, key):
+        for i, gd in enumerate(entries):
+            where = f"{key}[{i}]."
             out.append(
                 LabeledGenerator(
-                    int(gd["index"]),
-                    _mat(field, gd["matrix"], dim, f"{key}.matrix"),
-                    _mat(field, gd["inverse"], dim, f"{key}.inverse"),
+                    _int(gd, "index", where),
+                    _mat(field, _require(gd, "matrix", where), dim, f"{where}matrix"),
+                    _mat(field, _require(gd, "inverse", where), dim, f"{where}inverse"),
                 )
             )
         return tuple(out)
@@ -379,8 +399,8 @@ def read_transcript(text: str) -> tuple[Transcript, FixtureData | None]:
         n=n,
         rep_kind=rep_kind,
         field=field,
-        q=int(_require(doc, "q")),
-        t=int(_require(doc, "t")),
+        q=_int(doc, "q"),
+        t=_int(doc, "t"),
         split=split,
         dim=dim,
         h=_mat(field, _require(doc, "h"), dim, "h"),
@@ -396,8 +416,9 @@ def read_transcript(text: str) -> tuple[Transcript, FixtureData | None]:
     fixture = None
     if "private" in doc:
         pd = doc["private"]
-        fixture = FixtureData(
-            k=_mat(field, _require(pd, "k"), dim, "private.k"),
-            words=dict(pd.get("words", {})),
-        )
+        k = _mat(field, _require(pd, "k", "private."), dim, "private.k")
+        words = pd.get("words", {})
+        if not isinstance(words, dict):
+            raise TranscriptFormatError("transcript field private.words must be an object")
+        fixture = FixtureData(k=k, words=dict(words))
     return transcript, fixture

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInSpanError
+from .errors import NotInSpanError, RelationValidationError
 from .field import PrimeField
 from .matrix import EchelonState, SquareMatrix, gemm_mod
 
@@ -51,15 +51,22 @@ class SideSpec:
         return len(self.left) + len(self.right)
 
     def validate(self) -> None:
-        """Check listed-inverse closure and invertibility on both sides."""
-        for side in (self.left, self.right):
+        """Check listed-inverse closure and invertibility on both sides.
+
+        Raises RelationValidationError naming the side and the label.
+        """
+        for name, side in (("left", self.left), ("right", self.right)):
             by_label = dict(side)
             for label, mat in side:
                 inv = by_label.get(-label)
                 if inv is None:
-                    raise ValueError(f"inverse of label {label} is not listed")
+                    raise RelationValidationError(
+                        f"{name} multiplier label {label}: inverse is not listed"
+                    )
                 if not (mat @ inv).is_identity():
-                    raise ValueError(f"label {label}: listed inverse is wrong")
+                    raise RelationValidationError(
+                        f"{name} multiplier label {label}: listed inverse is wrong"
+                    )
 
 
 @dataclass(frozen=True)

@@ -45,9 +45,18 @@ def plain_rref_rank(vectors, p: int) -> int:
 
     Deliberately independent of EchelonState: plain lists, no numpy.
     """
+    return len(plain_row_profile(vectors, p))
+
+
+def plain_row_profile(vectors, p: int) -> list[tuple[int, int]]:
+    """(vector index, pivot column) of every vector independent of the ones
+    before it, the pivot being the first nonzero entry of its residual.
+
+    The same textbook row reduction, on python ints: plain lists, no numpy.
+    """
     pivots: list[tuple[int, list[int]]] = []  # (pivot col, unit-pivot row)
-    rank = 0
-    for vec in vectors:
+    profile = []
+    for i, vec in enumerate(vectors):
         row = [int(x) % p for x in vec]
         for col, prow in pivots:
             c = row[col]
@@ -59,8 +68,8 @@ def plain_rref_rank(vectors, p: int) -> int:
         inv = pow(row[lead], p - 2, p)
         row = [a * inv % p for a in row]
         pivots.append((lead, row))
-        rank += 1
-    return rank
+        profile.append((i, lead))
+    return profile
 
 
 def assert_span_complexity(basis: bb.DecoratedBasis) -> None:

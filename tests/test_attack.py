@@ -1,6 +1,8 @@
 """Attack soundness against the honest-run oracle, stage semantics, and the
 public-transcript information boundary."""
 
+import dataclasses
+
 import pytest
 
 import braidbreak as bb
@@ -194,3 +196,39 @@ def test_fixture_words_reproduce_key():
     mm = {name: bb.evaluate(rep, w) for name, w in words.items()}
     want = mm["c1"] @ mm["f1"] @ mm["h"] @ mm["c2"] @ mm["f2"]
     assert fixture.k == want == run.k_alice
+
+
+@pytest.mark.parametrize("protocol_id,side", [(1, "left"), (2, "right")])
+def test_wrong_listed_inverse_raises_before_stage_1(protocol_id, side):
+    run = honest_run(protocol_id, "lk", 5, seed=22)
+    t = run.transcript
+    key = "b_gens" if side == "left" else "a_gens"
+    g = getattr(t, key)[-1]
+    bad = g.inv.a.copy()
+    bad[0, 0] = (int(bad[0, 0]) + 1) % t.p
+    broken = dataclasses.replace(t, **{key: getattr(t, key)[:-1] + (
+        bb.LabeledGenerator(g.index, g.mat, bb.SquareMatrix(t.field, bad)),)})
+    with pytest.raises(bb.RelationValidationError,
+                       match=f"{side} multiplier label {g.index}: listed inverse"):
+        bb.attack_transcript(broken)
+
+
+# Counted operations are deterministic per seed, so they are pinned exactly:
+# a kernel change that moves them must update this table and say so in
+# CHANGES.md, with the old and the new values.
+PINNED_COUNTS = [
+    # (protocol, rep, stage dims, (mul, add, inv)) at n=5, seed 31
+    (1, "lk", (40, 40, 40), (4020353, 3868583, 240)),
+    (1, "burau", (9, 9, 9), (77723, 68981, 54)),
+    (2, "lk", (31, 31, 31), (2195840, 2097358, 186)),
+    (2, "burau", (8, 8, 8), (52380, 45882, 48)),
+]
+
+
+@pytest.mark.parametrize("protocol_id,rep_kind,dims,ops", PINNED_COUNTS)
+def test_counted_ops_pinned(protocol_id, rep_kind, dims, ops):
+    run = honest_run(protocol_id, rep_kind, 5, seed=31)
+    report = bb.attack_transcript(run.transcript)
+    assert bb.verify_against_oracle(report, run)
+    assert report.stage_dims == dims
+    assert report.op_counts == ops

@@ -207,3 +207,57 @@ def test_selftest_detects_perturbed_representation(monkeypatch):
     monkeypatch.setattr(st, "lk_representation", perturbing)
     results = {name: ok for name, ok, _ in run_selftest(log=lambda *_: None)}
     assert results["braid_relations"] is False
+
+
+DROP = object()
+
+
+def _mutate(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    if value is DROP:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+@pytest.mark.parametrize("path,value,field", [
+    (("b_gens", 0, "index"), DROP, "b_gens[0].index"),
+    (("a_gens", 0, "matrix"), DROP, "a_gens[0].matrix"),
+    (("a_gens",), {"index": 1}, "a_gens"),
+    (("b_gens", 0), 7, "b_gens[0]"),
+    (("a_gens", 0, "index"), "one", "a_gens[0].index"),
+    (("n",), "four", "n"),
+    (("split",), [2], "split"),
+    (("dim",), 4.5, "dim"),
+    (("q",), "0x11", "q"),
+    (("t",), None, "t"),
+    (("p",), {"p": 3}, "p"),
+])
+def test_attack_schema_errors_are_named(tmp_path, capsys, path, value, field):
+    t = tmp_path / "t.json"
+    run_cli(["simulate", "--n", "4", "--seed", "12", "--out", str(t)])
+    doc = json.loads(t.read_text())
+    _mutate(doc, path, value)
+    t.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["attack", str(t)]) == 1
+    err = capsys.readouterr().err
+    assert "TranscriptFormatError" in err and field in err
+    assert "Traceback" not in err
+
+
+def test_attack_rejects_wrong_listed_inverse(tmp_path, capsys):
+    t = tmp_path / "t.json"
+    run_cli(["simulate", "--protocol", "2", "--n", "5", "--seed", "13",
+             "--out", str(t)])
+    doc = json.loads(t.read_text())
+    row = doc["b_gens"][0]["inverse"][0]
+    row[0] = str((int(row[0]) + 1) % doc["p"])
+    t.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["attack", str(t)]) == 1
+    err = capsys.readouterr().err
+    label = doc["b_gens"][0]["index"]
+    assert f"RelationValidationError: left multiplier label {label}" in err

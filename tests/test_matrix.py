@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import braidbreak as bb
-from braidbreak.matrix import EchelonState, gemm_mod
+from braidbreak.matrix import EchelonState, gemm_depth_limit, gemm_mod
 
-from helpers import field, plain_rref_rank
+from helpers import field, plain_rref_rank, plain_row_profile
 
 
 def rand_matrix(f, m, rng):
@@ -253,3 +253,146 @@ def test_object_dtype_field_matches_fast_path():
             want = sum(a[i][k] * b[k][j] for k in range(4)) % slow.p
             assert int(prod.a[i, j]) == want
     assert ma @ ma.inverse() == bb.SquareMatrix.identity(slow, 4)
+
+
+# -- exactness limit of the fast-path product ---------------------------------
+
+LARGEST_FAST_PRIME = 3037000493  # the largest prime <= FAST_PATH_MAX
+
+
+def limb_sum_argmax(p):
+    """The residue whose two 16-bit limbs have the largest sum."""
+    return max(p - 1, ((p - 1) >> 16 << 16) - 1, key=lambda a: (a >> 16) + (a & 0xFFFF))
+
+
+@pytest.mark.parametrize("p", [3, bb.DEFAULT_PRIME, LARGEST_FAST_PRIME])
+def test_gemm_depth_limit_and_chunked_path(p):
+    f = bb.PrimeField(p)
+    assert f.dtype is np.int64 and bb.field.is_probable_prime(p)
+    limit = gemm_depth_limit(p)
+    assert 1 << 15 < limit <= 1 << 17
+    for v in sorted({p - 1, limb_sum_argmax(p)}):
+        for r in (limit, limit + 1):  # one piece, then two chunks
+            want = r * v * v % p  # every entry of the all-v product
+            shapes = [
+                ((2, r), (r, 3)),  # plain
+                ((1, r), (r, 2)),  # the k=1 path
+                ((2, 2, r), (1, r, 2)),  # batch on the left
+                ((1, 2, r), (2, r, 3)),  # batch on the right
+                ((2, r), (2, r, 2)),  # 2-D against batched
+            ]
+            for sa, sb in shapes:
+                got = gemm_mod(f, np.full(sa, v, dtype=np.int64), np.full(sb, v, dtype=np.int64))
+                assert got.dtype == np.int64
+                assert got.shape == np.broadcast_shapes(sa[:-2], sb[:-2]) + (sa[-2], sb[-1])
+                assert (got == want).all(), (v, r, sa, sb)
+
+
+@pytest.mark.parametrize("p", [3, bb.DEFAULT_PRIME, LARGEST_FAST_PRIME])
+def test_gemm_random_against_bigint(p):
+    f = bb.PrimeField(p)
+    rng = np.random.default_rng(p % 1000)
+    for sa, sb in [((1, 9), (9, 4)), ((5, 0), (0, 3)), ((0, 4), (4, 3)),
+                   ((70, 33), (33, 41)), ((3, 4, 6), (1, 6, 5)),
+                   ((1, 2, 6), (3, 6, 2)), ((2, 0, 3), (1, 3, 2))]:
+        a = rng.integers(0, p, size=sa)
+        b = rng.integers(0, p, size=sb)
+        got = gemm_mod(f, a, b)
+        ref = np.matmul(a.astype(object), b.astype(object)) % p
+        assert got.shape == ref.shape and (got.astype(object) == ref).all()
+
+
+def test_gemm_counts_ops_once_per_product():
+    f = bb.PrimeField()
+    limit = gemm_depth_limit(f.p)
+    snap = f.ops.snapshot()
+    gemm_mod(f, f.zeros((2, limit + 5)), f.zeros((limit + 5, 3)))
+    assert f.ops.delta(snap)[:2] == (2 * (limit + 5) * 3, 2 * 3 * (limit + 4))
+
+
+# -- the blocked elimination against plain oracles ----------------------------
+
+
+def planted_blocks(p, amb, rng, sizes=(7, 40, 70, 25)):
+    """Successive blocks mixing fresh vectors, zero rows, and combinations of
+    earlier vectors from the same block and from earlier blocks."""
+    seen, blocks = [], []
+    for k in sizes:
+        block = []
+        for _ in range(k):
+            roll = rng.random()
+            if roll < 0.1 or not seen:
+                vec = [0] * amb if roll < 0.05 else [rng.randrange(p) for _ in range(amb)]
+            elif roll < 0.55:  # planted dependency, possibly on this block
+                picks = rng.sample(seen, min(len(seen), rng.randrange(1, 4)))
+                cs = [rng.randrange(p) for _ in picks]
+                vec = [sum(c * v[j] for c, v in zip(cs, picks)) % p for j in range(amb)]
+            else:  # sparse fresh vector, so that pivots land all over
+                vec = [rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(amb)]
+            block.append(vec)
+            seen.append(vec)
+        blocks.append(block)
+    return blocks
+
+
+@pytest.mark.parametrize("p", [bb.DEFAULT_PRIME, (1 << 62) - 57])
+def test_extend_batch_blocks_match_oracles(p):
+    f = bb.PrimeField(p)
+    rng = random.Random(21)
+    amb = 48 if f.dtype is np.int64 else 24
+    blocks = planted_blocks(p, amb, rng)
+    batch, seq = EchelonState(f, amb), EchelonState(f, amb)
+    fed, masks = [], []
+    for block in blocks:
+        arr = f.asarray(block)
+        mask = batch.extend_batch(arr)
+        assert list(mask) == [seq.try_extend(row) for row in arr]
+        fed += block
+        masks += list(mask)
+    assert batch.rank and not batch.extend_batch(f.zeros((0, amb))).size
+    profile = plain_row_profile(fed, p)
+    assert [i for i, ok in enumerate(masks) if ok] == [i for i, _ in profile]
+    assert batch.pivot_cols == [col for _, col in profile] == seq.pivot_cols
+    assert batch.rank == plain_rref_rank(fed, p)
+    assert np.array_equal(batch.rows, seq.rows)
+    ident = f.identity_array(batch.rank)
+    assert np.array_equal(batch.rows[:, batch.pivot_cols], ident)
+    # the rows span exactly what was fed
+    for vec in fed:
+        assert batch.in_span(f.asarray(vec))
+    assert plain_rref_rank([list(r) for r in batch.rows] + fed, p) == batch.rank
+
+
+@pytest.mark.parametrize("p", [bb.DEFAULT_PRIME, (1 << 62) - 57])
+def test_solve_rebuilds_target_after_batches(p):
+    f = bb.PrimeField(p)
+    rng = random.Random(22)
+    amb = 40 if f.dtype is np.int64 else 20
+    state = EchelonState(f, amb)
+    kept = []
+    for block in planted_blocks(p, amb, rng, sizes=(5, 30, 45)):
+        for vec in block:
+            vec[-1] = 0  # keeps e_last outside the span
+        arr = f.asarray(block)
+        kept += [row for row, ok in zip(block, state.extend_batch(arr)) if ok]
+        coeffs = [rng.randrange(p) for _ in kept]
+        target = [sum(c * v[j] for c, v in zip(coeffs, kept)) % p for j in range(amb)]
+        got = [int(c) for c in state.solve(f.asarray(target))]
+        rebuilt = [sum(c * v[j] for c, v in zip(got, kept)) % p for j in range(amb)]
+        assert rebuilt == target
+        # the accepted vectors are independent, so the coordinates are unique
+        assert got == coeffs
+    assert state.solve(f.asarray([0] * (amb - 1) + [1])) is None
+    assert state.rank == len(kept) < amb
+
+
+def test_inverse_through_the_kernel_is_exact():
+    f = field()
+    rng = random.Random(23)
+    for m in (1, 5, 17, 40):  # one leaf, then halved blocks
+        a = rand_matrix(f, m, rng)
+        assert a @ a.inverse() == bb.SquareMatrix.identity(f, m)
+    singular = [[rng.randrange(f.p) for _ in range(30)] for _ in range(29)]
+    singular.append([sum(row[j] for row in singular) % f.p for j in range(30)])
+    with pytest.raises(bb.SingularMatrixError):
+        bb.SquareMatrix.from_rows(f, singular).inverse()

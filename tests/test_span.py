@@ -57,8 +57,12 @@ def test_sidespec_validate():
     spec = bb.SideSpec.two_sided(bb.commuting_subgroups(r, 2).b_gens)
     spec.validate()
     broken = bb.SideSpec(spec.left[:1], spec.right)  # inverse dropped
-    with pytest.raises(ValueError):
+    with pytest.raises(bb.RelationValidationError):
         broken.validate()
+    (label, mat), rest = spec.right[0], spec.right[1:]
+    wrong = bb.SideSpec(spec.left, ((label, mat.scale(2)),) + rest)
+    with pytest.raises(bb.RelationValidationError, match=f"right multiplier label {label}"):
+        wrong.validate()
 
 
 def test_brute_force_word_enumeration_oracle():
