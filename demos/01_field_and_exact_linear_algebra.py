@@ -34,16 +34,16 @@ for k in range(12):
 print(f"fed 12 random vectors, kept {inserted} independent ones (ambient dim 9)")
 
 snap = field.ops.snapshot()
-basis = [
-    bb.FlatVector(field, field.asarray([rng.randrange(field.p) for _ in range(16)]))
-    for _ in range(6)
-]
+basis = [field.asarray([rng.randrange(field.p) for _ in range(16)]) for _ in range(6)]
+span = bb.EchelonState(field, 16)
+for vec in basis:
+    assert span.try_extend(vec)
 coeffs = [rng.randrange(field.p) for _ in range(6)]
 target_v = field.zeros(16)
 for c, vec in zip(coeffs, basis):
-    target_v = (target_v + c * vec.v) % field.p
-got = bb.solve_coordinates(basis, bb.FlatVector(field, target_v))
+    target_v = (target_v + c * vec) % field.p
+got = span.solve(target_v)
 mul, add, inv = field.ops.delta(snap)
-print(f"solve_coordinates recovered the construction coefficients exactly: "
+print(f"EchelonState.solve recovered the construction coefficients exactly: "
       f"{list(got) == coeffs}")
-print(f"counted work for that solve: {mul} mul, {add} add, {inv} inv")
+print(f"counted work for that build and solve: {mul} mul, {add} add, {inv} inv")

@@ -5,8 +5,6 @@ transcripts alone."""
 from .attack import (
     AttackReport,
     StageReport,
-    attack_protocol_1,
-    attack_protocol_2,
     attack_transcript,
     verify_against_oracle,
 )
@@ -34,14 +32,7 @@ from .errors import (
     TranscriptFormatError,
 )
 from .field import DEFAULT_PRIME, FieldElement, OpCounter, PrimeField
-from .matrix import (
-    EchelonState,
-    FlatVector,
-    SquareMatrix,
-    gemm_mod,
-    solve_coordinates,
-    unflatten,
-)
+from .matrix import EchelonState, SquareMatrix, gemm_mod
 from .protocol import (
     FixtureData,
     HonestRun,
@@ -51,8 +42,6 @@ from .protocol import (
     derive_trial_seed,
     read_transcript,
     run_protocol,
-    run_protocol_1,
-    run_protocol_2,
     write_transcript,
 )
 from .span import (
@@ -67,8 +56,7 @@ from .span import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackReport", "StageReport", "attack_protocol_1", "attack_protocol_2",
-    "attack_transcript", "verify_against_oracle",
+    "AttackReport", "StageReport", "attack_transcript", "verify_against_oracle",
     "BenchRecord", "fit_slope", "run_bench", "slopes_by_protocol",
     "BraidWord", "CommutingPair", "LabeledGenerator", "Representation",
     "burau_representation", "commuting_subgroups", "default_split",
@@ -77,11 +65,10 @@ __all__ = [
     "NotInSpanError", "ProtocolInternalError", "RelationValidationError",
     "SingularMatrixError", "TranscriptFormatError",
     "DEFAULT_PRIME", "FieldElement", "OpCounter", "PrimeField",
-    "EchelonState", "FlatVector", "SquareMatrix", "gemm_mod",
-    "solve_coordinates", "unflatten",
+    "EchelonState", "SquareMatrix", "gemm_mod",
     "FixtureData", "HonestRun", "PrivateState", "ProtocolParams",
     "Transcript", "derive_trial_seed", "read_transcript", "run_protocol",
-    "run_protocol_1", "run_protocol_2", "write_transcript",
+    "write_transcript",
     "BasisEntry", "DecoratedBasis", "SideSpec", "build_decorated_basis",
     "express", "substitute",
     "__version__",

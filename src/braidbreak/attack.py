@@ -110,20 +110,30 @@ class AttackReport:
         return json.dumps(self.to_document(include_timings), indent=1) + "\n"
 
 
+# (core, target) transcript fields of stages 1-3; the replacement is u, then
+# the previous stage's output
+STAGES = (("w", "x"), ("h", "y"), ("z", "v"))
+
+# generators of the left and the right multipliers, by protocol
+_SIDES = {1: ("b_gens", "b_gens"), 2: ("b_gens", "a_gens")}
+
+
 def _stage(
     stage_no: int,
-    core: SquareMatrix,
-    target: SquareMatrix,
+    t: Transcript,
     replacement: SquareMatrix,
     sides: SideSpec,
 ) -> tuple[SquareMatrix, StageReport]:
+    core_name, target_name = STAGES[stage_no - 1]
+    where = f"stage {stage_no}, core {core_name}"
+    core = getattr(t, core_name)
+    if not core.a.any():
+        raise MalformedTranscriptError(stage_no, core_name, f"{where}: zero matrix")
     basis = build_decorated_basis(core, sides)
     try:
-        coeffs = express(basis, target)
+        coeffs = express(basis, getattr(t, target_name))
     except NotInSpanError as e:
-        raise MalformedTranscriptError(
-            stage_no, f"stage {stage_no}: {e}"
-        ) from e
+        raise MalformedTranscriptError(stage_no, core_name, f"{where}: {e}") from e
     out = substitute(basis, coeffs, replacement)
     report = StageReport(
         stage=stage_no,
@@ -138,15 +148,19 @@ def _stage(
     return out, report
 
 
-def _attack(t: Transcript, sides: SideSpec) -> AttackReport:
+def attack_transcript(t: Transcript) -> AttackReport:
+    """Recover K from a transcript: B..B subspaces for protocol 1, B..A for
+    protocol 2."""
     field = t.field
     snap = field.ops.snapshot()
     t0 = time.perf_counter()
+    left, right = _SIDES[t.protocol_id]
+    sides = SideSpec.mixed(getattr(t, left), getattr(t, right))
     # a wrong listed inverse would silently skew every span built below
     sides.validate()
-    m1, s1 = _stage(1, t.w, t.x, t.u, sides)
-    m2, s2 = _stage(2, t.h, t.y, m1, sides)
-    key, s3 = _stage(3, t.z, t.v, m2, sides)
+    m1, s1 = _stage(1, t, t.u, sides)
+    m2, s2 = _stage(2, t, m1, sides)
+    key, s3 = _stage(3, t, m2, sides)
     s3.intermediate = None  # stage 3 output is the recovered key itself
     wall = time.perf_counter() - t0
     return AttackReport(
@@ -162,24 +176,6 @@ def _attack(t: Transcript, sides: SideSpec) -> AttackReport:
         op_counts=field.ops.delta(snap),
         wall_time=wall,
     )
-
-
-def attack_protocol_1(t: Transcript) -> AttackReport:
-    """Recover K from a protocol-1 transcript (two-sided B subspaces)."""
-    if t.protocol_id != 1:
-        raise ValueError(f"transcript is for protocol {t.protocol_id}, not 1")
-    return _attack(t, SideSpec.two_sided(t.b_gens))
-
-
-def attack_protocol_2(t: Transcript) -> AttackReport:
-    """Recover K from a protocol-2 transcript (left B, right A subspaces)."""
-    if t.protocol_id != 2:
-        raise ValueError(f"transcript is for protocol {t.protocol_id}, not 2")
-    return _attack(t, SideSpec.mixed(t.b_gens, t.a_gens))
-
-
-def attack_transcript(t: Transcript) -> AttackReport:
-    return attack_protocol_1(t) if t.protocol_id == 1 else attack_protocol_2(t)
 
 
 def verify_against_oracle(report: AttackReport, run) -> bool:

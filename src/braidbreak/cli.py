@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .attack import AttackReport, attack_transcript, verify_against_oracle
+from .attack import STAGES, AttackReport, attack_transcript, verify_against_oracle
 from .bench import bench_text, format_table, run_bench
 from .errors import BraidbreakError
 from .field import DEFAULT_PRIME
@@ -26,8 +26,6 @@ from .protocol import (
     write_transcript,
 )
 from .selftest import run_selftest
-
-_STAGE_CORES = ("w", "h", "z")
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
@@ -75,7 +73,7 @@ def cmd_simulate(args) -> int:
 
 def _bases_document(report: AttackReport) -> dict:
     stages = []
-    for s, core_name in zip(report.stages, _STAGE_CORES):
+    for s, (core_name, _) in zip(report.stages, STAGES):
         stages.append({
             "stage": s.stage,
             "core": core_name,

@@ -29,11 +29,13 @@ class ProtocolInternalError(BraidbreakError):
 
 class MalformedTranscriptError(BraidbreakError):
     """A transcript is inconsistent with the protocol it claims: an attack
-    stage failed to express a public message in its subspace basis."""
+    stage met a zero core or failed to express a public message in its
+    subspace basis. core names the stage's core, "w", "h" or "z"."""
 
-    def __init__(self, stage: int, message: str):
+    def __init__(self, stage: int, core: str, message: str):
         super().__init__(message)
         self.stage = stage
+        self.core = core
 
 
 class TranscriptFormatError(BraidbreakError):

@@ -71,11 +71,6 @@ def gemm_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     if field.dtype is object:
         return np.matmul(a, b) % p
-    if a.ndim == 2 and b.ndim == 2 and k == 1:
-        # single-row product: elementwise multiply, reduce mod p, then sum
-        # (residues < 2^32, so a length-r column sum cannot overflow int64)
-        prod = _mod(p, a[0][:, None] * b)
-        return _mod(p, np.add.reduce(prod, axis=0)[None, :])
     step = gemm_depth_limit(p)
     if r <= step:
         return _gemm_limbs(p, a, b)
@@ -193,11 +188,8 @@ class SquareMatrix:
 
     def inverse(self) -> "SquareMatrix":
         """Exact inverse; raises SingularMatrixError."""
-        return SquareMatrix(self.field, _inverse(self.field, self.a))
-
-    def flatten(self) -> "FlatVector":
-        """Row-major flattening; the fixed linear bijection with unflatten."""
-        return FlatVector(self.field, self.a.reshape(-1).copy())
+        ident = self.field.identity_array(self.dim)
+        return SquareMatrix(self.field, _solve(self.field, self.a, ident))
 
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.a, self.field.identity_array(self.dim)))
@@ -216,36 +208,6 @@ class SquareMatrix:
 
     def __repr__(self):
         return f"SquareMatrix(dim={self.dim}, p={self.field.p})"
-
-
-@dataclass(frozen=True)
-class FlatVector:
-    """Flattened matrix: vector of length dim^2 over the field."""
-
-    field: PrimeField
-    v: np.ndarray  # 1-D canonical residues
-
-    @property
-    def length(self) -> int:
-        return self.v.shape[0]
-
-    def __add__(self, other: "FlatVector") -> "FlatVector":
-        self.field.ops.add_count += self.length
-        return FlatVector(self.field, (self.v + other.v) % self.field.p)
-
-    def __eq__(self, other):
-        if not isinstance(other, FlatVector):
-            return NotImplemented
-        return self.field.p == other.field.p and np.array_equal(self.v, other.v)
-
-    def __hash__(self):
-        return hash((self.field.p, self.length))
-
-
-def unflatten(field: PrimeField, vec: FlatVector, m: int) -> SquareMatrix:
-    if vec.length != m * m:
-        raise ValueError(f"length {vec.length} is not {m}^2")
-    return SquareMatrix(field, vec.v.reshape(m, m).copy())
 
 
 def row_rank_profile(
@@ -304,26 +266,24 @@ def _profile_rows(field: PrimeField, x: np.ndarray):
     return rows, pivots, x[rows]
 
 
-def _inverse(field: PrimeField, a: np.ndarray) -> np.ndarray:
-    """Inverse of a square residue array, from the profile of [a | I]: its
-    pivots all fall in the first m columns iff a is invertible, and the
-    reduced row with pivot j then ends in row j of the inverse."""
+def _solve(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b for a square residue array a, from the profile of [a | b]: a is
+    invertible iff its m columns hold m pivots, and the reduced row with
+    pivot j then ends in row j of a^-1 b."""
     m = a.shape[0]
-    _, pivots, red = row_rank_profile(
-        field, np.concatenate([a, field.identity_array(m)], axis=1)
-    )
-    if pivots and max(pivots) >= m:
+    _, pivots, red = row_rank_profile(field, np.concatenate([a, b], axis=1))
+    if len(pivots) < m or any(j >= m for j in pivots):
         raise SingularMatrixError(f"singular matrix (rank < {m})")
-    inv = field.zeros((m, m))
-    inv[pivots] = red[:, m:]
-    return inv
+    x = field.zeros(b.shape)
+    x[pivots] = red[:, m:]
+    return x
 
 
 class EchelonState:
     """RREF of the span of the vectors fed so far: one reduced row per
     accepted vector, with the identity at pivot_cols. The accepted vectors
-    are kept as given; since rows = T @ originals, T is the inverse of
-    originals[:, pivot_cols], which solve computes once per rank.
+    are kept as given, and solve finds coordinates in them from their pivot
+    columns alone.
     Single-writer; completed states may be read concurrently.
     """
 
@@ -334,7 +294,6 @@ class EchelonState:
         self._rows = field.zeros((0, ambient))
         self._orig = field.zeros((0, ambient))
         self._free = np.arange(ambient)  # the non-pivot columns, ascending
-        self._transform: tuple[int, np.ndarray] | None = None  # (rank, T)
 
     @property
     def rank(self) -> int:
@@ -346,8 +305,6 @@ class EchelonState:
         return self._rows
 
     def _as_vec(self, v) -> np.ndarray:
-        if isinstance(v, FlatVector):
-            v = v.v
         v = np.asarray(v) % self.field.p
         if v.shape != (self.ambient,):
             raise ValueError(f"expected vector of length {self.ambient}")
@@ -406,23 +363,6 @@ class EchelonState:
         vec = self._as_vec(v)
         if self._residual(vec[None, :]).any():
             return None
-        if self._transform is None or self._transform[0] != self.rank:
-            t = _inverse(self.field, self._orig[:, self.pivot_cols])
-            self._transform = (self.rank, t)
-        # v = v[pivots] @ rows = v[pivots] @ T @ originals
-        return gemm_mod(self.field, vec[None, self.pivot_cols], self._transform[1])[0]
-
-
-def solve_coordinates(basis: list[FlatVector], target: FlatVector) -> np.ndarray | None:
-    """Express target in an independent basis; None when outside the span.
-
-    Coefficients c satisfy sum_i c_i * basis_i = target exactly.
-    """
-    if not basis:
-        raise ValueError("empty basis")
-    field = basis[0].field
-    state = EchelonState(field, basis[0].length)
-    for b in basis:
-        if not state.try_extend(b):
-            raise ValueError("basis vectors are linearly dependent")
-    return state.solve(target)
+        # v = c @ originals, so originals[:, pivots]^T c = v[pivots]
+        piv = self.pivot_cols
+        return _solve(self.field, self._orig[:, piv].T, vec[piv, None])[:, 0]

@@ -240,21 +240,8 @@ def _run(params: ProtocolParams) -> HonestRun:
     return HonestRun(transcript, k_alice, k_bob, private)
 
 
-def run_protocol_1(params: ProtocolParams) -> HonestRun:
-    """Honest run of protocol 1; raises if key agreement were to fail."""
-    if params.protocol_id != 1:
-        raise ValueError("params.protocol_id must be 1")
-    return _run(params)
-
-
-def run_protocol_2(params: ProtocolParams) -> HonestRun:
-    """Honest run of protocol 2; raises if key agreement were to fail."""
-    if params.protocol_id != 2:
-        raise ValueError("params.protocol_id must be 2")
-    return _run(params)
-
-
 def run_protocol(params: ProtocolParams) -> HonestRun:
+    """Honest run of either protocol; raises if key agreement were to fail."""
     return _run(params)
 
 
@@ -377,6 +364,11 @@ def read_transcript(text: str) -> tuple[Transcript, FixtureData | None]:
     n = _int(doc, "n")
     split = _int(doc, "split")
     dim = _int(doc, "dim")
+    rep_dim = n * (n - 1) // 2 if rep_kind == "lk" else n
+    if dim != rep_dim:
+        raise TranscriptFormatError(
+            f"transcript field dim is {dim}, but {rep_kind} at n={n} has dim {rep_dim}"
+        )
 
     def gens(key: str) -> tuple[LabeledGenerator, ...]:
         entries = _require(doc, key)

@@ -73,8 +73,14 @@ def suite_span_fixpoint() -> None:
     core = evaluate(rep, sample_word(rng, 4, range(1, 4), 4, 10))
     sides = SideSpec.two_sided(pair.b_gens)
     basis = build_decorated_basis(core, sides)
+    left, right = dict(sides.left), dict(sides.right)
     for e in basis.entries:
-        assert e.left @ basis.core @ e.right == e.value
+        value = core
+        for label in reversed(e.l_word):
+            value = left[label] @ value
+        for label in e.r_word:
+            value = value @ right[label]
+        assert value == e.value
         for _, g in sides.left:
             assert basis.echelon.in_span((g @ e.value).a.reshape(-1))
         for _, g in sides.right:

@@ -1,11 +1,12 @@
 """Provenance-decorated bases of subspaces spanned by L * core * R products.
 
-Given one or more core matrices and two lists of side multipliers (each
-closed under inverses), build_decorated_basis closes the flattened span of
+Given a core matrix and two lists of side multipliers (each closed under
+inverses), build_decorated_basis closes the flattened span of
 {L * core * R : L a word in the left side, R a word in the right side} and
-keeps, for every basis vector, the L and R words that produced it. That
+keeps, for every basis vector, the L and R words that produced it, and for
+every breadth-first level the (parent, generator) steps it took. That
 provenance is what makes the substitution step possible: a target expressed
-in the basis can be re-evaluated with the core swapped for another matrix.
+in the basis is re-evaluated by replaying the steps from another matrix.
 """
 
 from __future__ import annotations
@@ -71,19 +72,19 @@ class SideSpec:
 
 @dataclass(frozen=True)
 class BasisEntry:
-    """One basis vector value = left * core * right, with its provenance."""
+    """One basis vector value = L * core * R, with L and R kept as words."""
 
-    left: SquareMatrix
-    right: SquareMatrix
     l_word: tuple[int, ...]  # labels, leftmost factor first
     r_word: tuple[int, ...]
-    core_index: int
     value: SquareMatrix
 
 
 class DecoratedBasis:
-    """Closed basis of Sp({cores}^<U>) with per-entry provenance.
+    """Closed basis of Sp(core^<U>) with per-entry provenance.
 
+    levels[j] holds the (parent, generator) index pairs of the entries
+    accepted at breadth-first level j + 1, parents counted within level j;
+    replaying them from another matrix evaluates every entry's L * . * R.
     Construction is sequential and deterministic; a completed basis is
     immutable and may be shared. Independent bases build in parallel fine.
     """
@@ -91,24 +92,22 @@ class DecoratedBasis:
     def __init__(
         self,
         field: PrimeField,
-        cores: list[SquareMatrix],
+        core: SquareMatrix,
         sides: SideSpec,
         entries: list[BasisEntry],
+        levels: list[tuple[np.ndarray, np.ndarray]],
         echelon: EchelonState,
         build_mul_count: int,
         candidates_checked: int,
     ):
         self.field = field
-        self.cores = cores
+        self.core = core
         self.sides = sides
         self.entries = entries
+        self.levels = levels
         self.echelon = echelon
         self.build_mul_count = build_mul_count
         self.candidates_checked = candidates_checked
-
-    @property
-    def core(self) -> SquareMatrix:
-        return self.cores[0]
 
     @property
     def dim(self) -> int:
@@ -116,16 +115,16 @@ class DecoratedBasis:
 
     @property
     def matrix_dim(self) -> int:
-        return self.cores[0].dim
+        return self.core.dim
 
     @property
     def u_size(self) -> int:
         return self.sides.u_size
 
     def bound_value(self) -> int:
-        """r^3 |U|^2 + r |W|^2 for this build (r = basis dimension)."""
-        r, u, w = self.dim, self.u_size, len(self.cores)
-        return r**3 * u**2 + r * w**2
+        """r^3 |U|^2 + r |W|^2 for this build (r = basis dimension, |W| = 1)."""
+        r, u = self.dim, self.u_size
+        return r**3 * u**2 + r
 
     def __repr__(self):
         return (
@@ -134,90 +133,80 @@ class DecoratedBasis:
         )
 
 
-def build_decorated_basis(core, sides: SideSpec) -> DecoratedBasis:
-    """Close the span of side-multiplied cores, breadth first.
+def _generators(sides: SideSpec) -> list[tuple[str, int, SquareMatrix]]:
+    """(side, label, multiplier): left multipliers first, in listed order."""
+    return [("L", label, mat) for label, mat in sides.left] + [
+        ("R", label, mat) for label, mat in sides.right
+    ]
 
-    core may be a single SquareMatrix or a list of them. Children of a kept
-    entry are generated left multipliers first, then right multipliers, in
-    the listed order; dependent candidates are dropped immediately. On
-    return, multiplying any entry by any single side generator lands inside
-    the built span (the fixpoint property).
+
+def _grow(field: PrimeField, gens, stack: np.ndarray, parent, gen) -> np.ndarray:
+    """Children of a (f, m, m) stack: child i is stack[parent[i]] multiplied
+    by gens[gen[i]] on its side. One batched product per generator."""
+    m = stack.shape[-1]
+    out = field.zeros((len(parent), m, m))
+    for g, (side, _label, mat) in enumerate(gens):
+        idx = np.flatnonzero(gen == g)
+        if not len(idx):
+            continue
+        parents = stack[parent[idx]]
+        if side == "L":
+            out[idx] = gemm_mod(field, mat.a[None, :, :], parents)
+        else:
+            out[idx] = gemm_mod(field, parents, mat.a[None, :, :])
+    return out
+
+
+def build_decorated_basis(core: SquareMatrix, sides: SideSpec) -> DecoratedBasis:
+    """Close the span of the side-multiplied core, breadth first.
+
+    Children of a kept entry are generated left multipliers first, then
+    right multipliers, in the listed order; dependent candidates are dropped
+    immediately. On return, multiplying any entry by any single side
+    generator lands inside the built span (the fixpoint property).
     """
-    cores = [core] if isinstance(core, SquareMatrix) else list(core)
-    if not cores:
-        raise ValueError("need at least one core matrix")
-    field = cores[0].field
-    m = cores[0].dim
-    for c in cores:
-        field.check_same(c.field)
-        if c.dim != m:
-            raise ValueError("cores must share dimension")
-        if not c.a.any():
-            raise ValueError("core matrix must be nonzero")
+    field = core.field
+    m = core.dim
+    if not core.a.any():
+        raise ValueError("core matrix must be nonzero")
 
     mul0 = field.ops.mul_count
-    ident = SquareMatrix.identity(field, m)
     state = EchelonState(field, m * m)
-    entries: list[BasisEntry] = []
-    frontier: list[BasisEntry] = []
-    candidates = 0
-    for ci, c in enumerate(cores):
-        candidates += 1
-        if state.try_extend(c.a.reshape(-1)):
-            e = BasisEntry(ident, ident, (), (), ci, c)
-            entries.append(e)
-            frontier.append(e)
-
-    gens: list[tuple[str, int, SquareMatrix]] = [
-        ("L", label, mat) for label, mat in sides.left
-    ] + [("R", label, mat) for label, mat in sides.right]
+    state.try_extend(core.a.reshape(-1))
+    frontier = [BasisEntry((), (), core)]
+    entries = list(frontier)
+    stack = core.a[None, :, :]
+    levels: list[tuple[np.ndarray, np.ndarray]] = []
+    candidates = 1
+    gens = _generators(sides)
     s = len(gens)
 
     while frontier and s:
         f = len(frontier)
-        stack = np.stack([e.value.a for e in frontier])  # (f, m, m)
-        block = field.zeros((f * s, m * m))
-        view = block.reshape(f, s, m * m)
-        for gi, (side, _label, mat) in enumerate(gens):
-            if side == "L":
-                child = gemm_mod(field, mat.a[None, :, :], stack)
-            else:
-                child = gemm_mod(field, stack, mat.a[None, :, :])
-            view[:, gi, :] = child.reshape(f, m * m)
+        parent, gen = np.divmod(np.arange(f * s), s)  # row k = parent * s + gen
+        block = _grow(field, gens, stack, parent, gen).reshape(f * s, m * m)
         candidates += f * s
-        accepted = state.extend_batch(block)
-        new_frontier: list[BasisEntry] = []
-        for k in np.nonzero(accepted)[0]:
-            parent = frontier[int(k) // s]
-            side, label, mat = gens[int(k) % s]
-            value = SquareMatrix(field, block[int(k)].reshape(m, m).copy())
+        kept = np.flatnonzero(state.extend_batch(block))
+        levels.append((parent[kept], gen[kept]))
+        stack = block[kept].reshape(-1, m, m)
+        children = []
+        for pa, g, value in zip(parent[kept], gen[kept], stack):
+            e = frontier[pa]
+            side, label, _mat = gens[g]
             if side == "L":
-                e = BasisEntry(
-                    mat @ parent.left,
-                    parent.right,
-                    (label,) + parent.l_word,
-                    parent.r_word,
-                    parent.core_index,
-                    value,
-                )
+                words = ((label,) + e.l_word, e.r_word)
             else:
-                e = BasisEntry(
-                    parent.left,
-                    parent.right @ mat,
-                    parent.l_word,
-                    parent.r_word + (label,),
-                    parent.core_index,
-                    value,
-                )
-            entries.append(e)
-            new_frontier.append(e)
-        frontier = new_frontier
+                words = (e.l_word, e.r_word + (label,))
+            children.append(BasisEntry(*words, SquareMatrix(field, value)))
+        entries += children
+        frontier = children
 
     return DecoratedBasis(
         field,
-        cores,
+        core,
         sides,
         entries,
+        levels,
         state,
         field.ops.mul_count - mul0,
         candidates,
@@ -245,24 +234,21 @@ def substitute(
 ) -> SquareMatrix:
     """Evaluate sum_i coeffs[i] * L_i * replacement * R_i.
 
-    With coeffs = express(basis, target) and replacement = P * core * Q
-    where P commutes with every left word and Q with every right word, the
-    result is exactly P * target * Q; replacement = core returns target.
+    The entries' products are regrown from replacement level by level, as
+    the build grew them from the core. With coeffs = express(basis, target)
+    and replacement = P * core * Q where P commutes with every left word and
+    Q with every right word, the result is exactly P * target * Q;
+    replacement = core returns target.
     """
     field = basis.field
-    p = field.p
-    m = basis.matrix_dim
+    field.check_same(replacement.field)
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (basis.dim,):
         raise ValueError(f"expected {basis.dim} coefficients, got {coeffs.shape}")
-    if basis.dim == 0:
-        return SquareMatrix.zero(field, m)
-    lstack = np.stack([e.left.a for e in basis.entries])
-    rstack = np.stack([e.right.a for e in basis.entries])
-    mid = gemm_mod(field, lstack, replacement.a[None, :, :])
-    full = gemm_mod(field, mid, rstack)  # (r, m, m)
-    weighted = full * coeffs[:, None, None] % p
-    field.ops.mul_count += coeffs.shape[0] * m * m
-    total = np.add.reduce(weighted, axis=0) % p
-    field.ops.add_count += max(coeffs.shape[0] - 1, 0) * m * m
-    return SquareMatrix(field, total.astype(field.dtype))
+    gens = _generators(basis.sides)
+    stacks = [replacement.a[None, :, :]]
+    for parent, gen in basis.levels:
+        stacks.append(_grow(field, gens, stacks[-1], parent, gen))
+    values = np.concatenate(stacks).reshape(basis.dim, -1)
+    total = gemm_mod(field, field.asarray(coeffs)[None, :], values)
+    return SquareMatrix(field, total.reshape(basis.matrix_dim, -1))

@@ -72,6 +72,18 @@ def plain_row_profile(vectors, p: int) -> list[tuple[int, int]]:
     return profile
 
 
+def word_product(sides: bb.SideSpec, core: bb.SquareMatrix,
+                 entry: bb.BasisEntry) -> bb.SquareMatrix:
+    """prod left[l_word] * core * prod right[r_word], one factor at a time."""
+    left, right = dict(sides.left), dict(sides.right)
+    out = core
+    for label in reversed(entry.l_word):
+        out = left[label] @ out
+    for label in entry.r_word:
+        out = out @ right[label]
+    return out
+
+
 def assert_span_complexity(basis: bb.DecoratedBasis) -> None:
     """The 50x multiplication ceiling every suite instance must respect."""
     assert basis.build_mul_count <= 50 * basis.bound_value(), (

@@ -38,13 +38,13 @@ def test_lk_multi_seed_recovery(protocol_id):
 
 def test_stage1_intermediate_matches_private_oracle():
     run1 = honest_run(1, "lk", 4, seed=13)
-    rep1 = bb.attack_protocol_1(run1.transcript)
+    rep1 = bb.attack_transcript(run1.transcript)
     mm = run1.private_state.matrices
     want = mm["d1"].inverse() @ run1.transcript.x @ mm["d2"].inverse()
     assert rep1.stage1.intermediate == want
 
     run2 = honest_run(2, "lk", 4, seed=14)
-    rep2 = bb.attack_protocol_2(run2.transcript)
+    rep2 = bb.attack_transcript(run2.transcript)
     mm = run2.private_state.matrices
     want = mm["d1"].inverse() @ run2.transcript.x @ mm["g2"].inverse()
     assert rep2.stage1.intermediate == want
@@ -52,7 +52,7 @@ def test_stage1_intermediate_matches_private_oracle():
 
 def test_stage2_intermediate_matches_private_oracle():
     run = honest_run(1, "lk", 4, seed=15)
-    report = bb.attack_protocol_1(run.transcript)
+    report = bb.attack_transcript(run.transcript)
     mm = run.private_state.matrices
     want = mm["c1"] @ run.transcript.y @ mm["c2"]
     assert report.stage2.intermediate == want
@@ -67,15 +67,6 @@ def test_attack_reads_only_the_transcript():
         assert fixture is None
         report = bb.attack_transcript(reloaded)
         assert bb.verify_against_oracle(report, run)
-
-
-def test_protocol_id_checked():
-    run = honest_run(1, "burau", 4, seed=17)
-    with pytest.raises(ValueError):
-        bb.attack_protocol_2(run.transcript)
-    run2 = honest_run(2, "burau", 4, seed=17)
-    with pytest.raises(ValueError):
-        bb.attack_protocol_1(run2.transcript)
 
 
 def test_verify_against_oracle_detects_mismatch():
@@ -118,7 +109,7 @@ def test_corrupted_u_never_false_match():
     try:
         report = bb.attack_transcript(corrupted)
     except bb.MalformedTranscriptError as e:
-        assert e.stage in (1, 2, 3)
+        assert (e.stage, e.core) in ((1, "w"), (2, "h"), (3, "z"))
     else:
         assert bb.verify_against_oracle(report, run) is False
 
@@ -138,7 +129,19 @@ def test_inconsistent_message_raises_stage_labeled_error():
     )
     with pytest.raises(bb.MalformedTranscriptError) as exc:
         bb.attack_transcript(corrupted)
-    assert exc.value.stage == 1
+    assert exc.value.stage == 1 and exc.value.core == "w"
+    assert "stage 1, core w: target not in" in str(exc.value)
+
+
+@pytest.mark.parametrize("stage,core", [(1, "w"), (2, "h"), (3, "z")])
+def test_zero_core_raises_stage_labeled_error(stage, core):
+    run = honest_run(2, "lk", 4, seed=22)
+    t = run.transcript
+    zeroed = dataclasses.replace(t, **{core: bb.SquareMatrix.zero(t.field, t.dim)})
+    with pytest.raises(bb.MalformedTranscriptError,
+                       match=f"stage {stage}, core {core}: zero matrix") as exc:
+        bb.attack_transcript(zeroed)
+    assert (exc.value.stage, exc.value.core) == (stage, core)
 
 
 def test_report_document_shape_and_determinism():
@@ -218,10 +221,10 @@ def test_wrong_listed_inverse_raises_before_stage_1(protocol_id, side):
 # CHANGES.md, with the old and the new values.
 PINNED_COUNTS = [
     # (protocol, rep, stage dims, (mul, add, inv)) at n=5, seed 31
-    (1, "lk", (40, 40, 40), (4020353, 3868583, 240)),
-    (1, "burau", (9, 9, 9), (77723, 68981, 54)),
-    (2, "lk", (31, 31, 31), (2195840, 2097358, 186)),
-    (2, "burau", (8, 8, 8), (52380, 45882, 48)),
+    (1, "lk", (40, 40, 40), (3583673, 3460703, 240)),
+    (1, "burau", (9, 9, 9), (68570, 61421, 54)),
+    (2, "lk", (31, 31, 31), (1917677, 1840678, 186)),
+    (2, "burau", (8, 8, 8), (44676, 39570, 48)),
 ]
 
 

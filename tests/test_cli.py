@@ -234,6 +234,9 @@ def _mutate(doc, path, value):
     (("q",), "0x11", "q"),
     (("t",), None, "t"),
     (("p",), {"p": 3}, "p"),
+    (("n",), 7, "dim"),  # lk at n=4 has dim 6, at n=7 dim 21
+    (("dim",), 4, "dim"),
+    (("rep_kind",), "burau", "dim"),  # burau at n=4 has dim 4
 ])
 def test_attack_schema_errors_are_named(tmp_path, capsys, path, value, field):
     t = tmp_path / "t.json"
@@ -246,6 +249,19 @@ def test_attack_schema_errors_are_named(tmp_path, capsys, path, value, field):
     err = capsys.readouterr().err
     assert "TranscriptFormatError" in err and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("stage,core", [(1, "w"), (2, "h"), (3, "z")])
+def test_attack_zero_core_is_a_named_error(tmp_path, capsys, stage, core):
+    t = tmp_path / "t.json"
+    run_cli(["simulate", "--n", "4", "--seed", "14", "--out", str(t)])
+    doc = json.loads(t.read_text())
+    doc[core] = [["0"] * doc["dim"] for _ in range(doc["dim"])]
+    t.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["attack", str(t)]) == 1
+    err = capsys.readouterr().err
+    assert f"MalformedTranscriptError: stage {stage}, core {core}: zero matrix" in err
 
 
 def test_attack_rejects_wrong_listed_inverse(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Exact matrix algebra, flattening, and the incremental RREF engine."""
+"""Exact matrix algebra, the GEMM kernel, and the incremental RREF engine."""
 
 import random
 
@@ -64,23 +64,6 @@ def test_inverse_singular_raises():
         singular.inverse()
 
 
-def test_flatten_examples():
-    f = field()
-    ident = bb.SquareMatrix.identity(f, 2)
-    assert list(ident.flatten().v) == [1, 0, 0, 1]
-    rng = random.Random(5)
-    a = rand_matrix(f, 4, rng)
-    assert bb.unflatten(f, a.flatten(), 4) == a
-    b = rand_matrix(f, 4, rng)
-    assert (a + b).flatten() == a.flatten() + b.flatten()
-
-
-def test_unflatten_length_check():
-    f = field()
-    with pytest.raises(ValueError):
-        bb.unflatten(f, bb.SquareMatrix.identity(f, 3).flatten(), 2)
-
-
 def test_try_extend_basics():
     f = field()
     state = EchelonState(f, 9)
@@ -120,51 +103,38 @@ def test_rref_idempotence():
     assert state.pivot_cols == pivots_before
 
 
+def state_of(f, vectors):
+    """An EchelonState fed the given vectors, each of which must be kept."""
+    state = EchelonState(f, len(vectors[0]))
+    assert all(state.try_extend(f.asarray(v)) for v in vectors)
+    return state
+
+
 def test_solve_coordinates_examples():
     f = field()
-    e1 = bb.FlatVector(f, f.asarray([1, 0, 0]))
-    e2 = bb.FlatVector(f, f.asarray([0, 1, 0]))
-    target = bb.FlatVector(f, f.asarray([5, 7, 0]))
-    coords = bb.solve_coordinates([e1, e2], target)
-    assert list(coords) == [5, 7]
-    unit = bb.solve_coordinates([e1, e2], e2)
-    assert list(unit) == [0, 1]
+    state = state_of(f, [[1, 0, 0], [0, 1, 0]])
+    assert list(state.solve(f.asarray([5, 7, 0]))) == [5, 7]
+    assert list(state.solve(f.asarray([0, 1, 0]))) == [0, 1]
 
 
 def test_solve_coordinates_construction_oracle():
     f = field()
     rng = random.Random(8)
     n, amb = 7, 20
-    basis = [
-        bb.FlatVector(f, f.asarray([rng.randrange(f.p) for _ in range(amb)]))
-        for _ in range(n)
-    ]
+    basis = [[rng.randrange(f.p) for _ in range(amb)] for _ in range(n)]
     coeffs = [rng.randrange(f.p) for _ in range(n)]
-    target = np.zeros(amb, dtype=object)
-    for c, vec in zip(coeffs, basis):
-        target = (target + c * vec.v.astype(object)) % f.p
-    got = bb.solve_coordinates(basis, bb.FlatVector(f, f.asarray(list(target))))
+    target = [sum(c * v[j] for c, v in zip(coeffs, basis)) % f.p for j in range(amb)]
+    got = state_of(f, basis).solve(f.asarray(target))
     assert list(got) == coeffs
     # reconstruction is exact
-    rebuilt = np.zeros(amb, dtype=object)
-    for c, vec in zip(got, basis):
-        rebuilt = (rebuilt + int(c) * vec.v.astype(object)) % f.p
-    assert list(rebuilt) == list(target)
+    rebuilt = [sum(int(c) * v[j] for c, v in zip(got, basis)) % f.p for j in range(amb)]
+    assert rebuilt == target
 
 
 def test_solve_coordinates_not_in_span():
     f = field()
-    e1 = bb.FlatVector(f, f.asarray([1, 0, 0]))
-    outside = bb.FlatVector(f, f.asarray([0, 3, 1]))
-    assert bb.solve_coordinates([e1], outside) is None
-
-
-def test_solve_coordinates_dependent_basis_rejected():
-    f = field()
-    e1 = bb.FlatVector(f, f.asarray([1, 2, 3]))
-    e2 = bb.FlatVector(f, f.asarray([2, 4, 6]))
-    with pytest.raises(ValueError):
-        bb.solve_coordinates([e1, e2], e1)
+    state = state_of(f, [[1, 0, 0]])
+    assert state.solve(f.asarray([0, 3, 1])) is None
 
 
 def test_rank_never_exceeds_ambient():
@@ -276,7 +246,7 @@ def test_gemm_depth_limit_and_chunked_path(p):
             want = r * v * v % p  # every entry of the all-v product
             shapes = [
                 ((2, r), (r, 3)),  # plain
-                ((1, r), (r, 2)),  # the k=1 path
+                ((1, r), (r, 2)),  # a single row
                 ((2, 2, r), (1, r, 2)),  # batch on the left
                 ((1, 2, r), (2, r, 3)),  # batch on the right
                 ((2, r), (2, r, 2)),  # 2-D against batched

@@ -149,10 +149,6 @@ def test_params_validation():
         bb.ProtocolParams(n=6, split=5).validate()
     with pytest.raises(ValueError):
         bb.ProtocolParams(word_len=(7, 3)).validate()
-    with pytest.raises(ValueError):
-        bb.run_protocol_1(bb.ProtocolParams(protocol_id=2, n=4))
-    with pytest.raises(ValueError):
-        bb.run_protocol_2(bb.ProtocolParams(protocol_id=1, n=4))
 
 
 def test_trial_seed_mixing():

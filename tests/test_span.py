@@ -14,6 +14,7 @@ from helpers import (
     plain_rref_rank,
     random_word_matrix,
     rep,
+    word_product,
 )
 
 
@@ -24,11 +25,11 @@ def b_sides(r: bb.Representation, split: int) -> bb.SideSpec:
 def test_empty_sides_single_entry():
     f = field()
     core = bb.SquareMatrix.from_rows(f, [[4, 1], [0, 3]])
-    basis = bb.build_decorated_basis(core, bb.SideSpec((), ()))
-    assert basis.dim == 1
+    sides = bb.SideSpec((), ())
+    basis = bb.build_decorated_basis(core, sides)
+    assert basis.dim == 1 and basis.levels == []
     e = basis.entries[0]
-    assert e.left.is_identity() and e.right.is_identity()
-    assert e.value == core
+    assert e.value == core == word_product(sides, core, e)
     assert e.l_word == () and e.r_word == ()
     assert_span_complexity(basis)
 
@@ -124,18 +125,32 @@ def test_provenance_integrity_and_words():
     )
     core = random_word_matrix(r, rng)
     basis = bb.build_decorated_basis(core, sides)
-    left_by_label = dict(sides.left)
-    right_by_label = dict(sides.right)
+    assert basis.core == core
     for e in basis.entries:
-        assert e.left @ basis.core @ e.right == e.value
-        l_prod = bb.SquareMatrix.identity(r.field, r.dim)
-        for lab in e.l_word:
-            l_prod = l_prod @ left_by_label[lab]
-        assert l_prod == e.left
-        r_prod = bb.SquareMatrix.identity(r.field, r.dim)
-        for lab in e.r_word:
-            r_prod = r_prod @ right_by_label[lab]
-        assert r_prod == e.right
+        assert word_product(sides, core, e) == e.value
+    # one level step per entry besides the core, and no word twice
+    assert sum(len(parent) for parent, _ in basis.levels) == basis.dim - 1
+    words = [(e.l_word, e.r_word) for e in basis.entries]
+    assert len(set(words)) == basis.dim
+
+
+def test_substitute_replays_every_word():
+    # substitute with the i-th unit vector is L_i * repl * R_i, the words
+    # evaluated factor by factor, for every entry i and any replacement
+    rng = random.Random(30)
+    for kind, n in (("lk", 5), ("burau", 5)):
+        r = rep(kind, n)
+        pair = bb.commuting_subgroups(r, 2)
+        sides = bb.SideSpec.mixed(pair.b_gens, pair.a_gens)
+        basis = bb.build_decorated_basis(random_word_matrix(r, rng), sides)
+        repl = bb.SquareMatrix.from_rows(
+            r.field, [[rng.randrange(r.field.p) for _ in range(r.dim)]
+                      for _ in range(r.dim)]
+        )
+        for i, e in enumerate(basis.entries):
+            unit = np.zeros(basis.dim, dtype=np.int64)
+            unit[i] = 1
+            assert bb.substitute(basis, unit, repl) == word_product(sides, repl, e)
 
 
 def test_express_examples():
@@ -231,22 +246,3 @@ def test_substitution_equivariance():
         coeffs = bb.express(basis, target)
         assert bb.substitute(basis, coeffs, replacement) == p_mat @ target @ q_mat
 
-
-def test_multi_core_path():
-    rng = random.Random(30)
-    r = rep("lk", 4)
-    f = r.field
-    sides = b_sides(r, 2)
-    c1 = random_word_matrix(r, rng)
-    c2 = random_word_matrix(r, rng)
-    basis = bb.build_decorated_basis([c1, c2], sides)
-    assert len(basis.cores) == 2
-    assert {e.core_index for e in basis.entries} == {0, 1}
-    for e in basis.entries:
-        assert e.left @ basis.cores[e.core_index] @ e.right == e.value
-    assert_span_complexity(basis)
-    # a dependent second core contributes no seed entry
-    doubled = c1.scale(2)
-    basis2 = bb.build_decorated_basis([c1, doubled], sides)
-    assert {e.core_index for e in basis2.entries} == {0}
-    assert basis2.dim == bb.build_decorated_basis(c1, sides).dim
