@@ -1,7 +1,7 @@
 """Exact arithmetic in F_p and the incremental span machinery.
 
 Everything downstream (braid images, protocols, the attack) runs on the
-primitives shown here: canonical residues, counted operations, and a row
+primitives shown here: plain residues, counted operations, and a row
 echelon state that can absorb vectors one at a time.
 """
 
@@ -12,14 +12,19 @@ import braidbreak as bb
 field = bb.PrimeField()
 print(f"working in F_p with p = {field.p} (default, smallest prime > 2^31)")
 
-a = field.element(123456789)
-b = a.inverse()
-print(f"a = {a}, a^-1 = {b}, a * a^-1 = {a * b}")
+a = 123456789
+b = field.inverse_int(a)
+print(f"a = {a}, a^-1 = {b}, a * a^-1 mod p = {a * b % field.p}")
 
 rng = random.Random(1)
-x, y, z = (field.random_nonzero(rng) for _ in range(3))
-assert x * (y + z) == x * y + x * z
-print("distributivity holds exactly on random elements")
+x, y, z = (
+    field.asarray([[rng.randrange(field.p) for _ in range(4)] for _ in range(4)])
+    for _ in range(3)
+)
+lhs = bb.gemm_mod(field, x, (y + z) % field.p)
+rhs = (bb.gemm_mod(field, x, y) + bb.gemm_mod(field, x, z)) % field.p
+assert (lhs == rhs).all()
+print("gemm_mod distributes exactly over random residue matrices")
 
 m = bb.SquareMatrix.from_rows(field, [[1, 2, 0], [0, 1, 5], [7, 0, 1]])
 m_inv = m.inverse()

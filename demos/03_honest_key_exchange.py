@@ -6,6 +6,7 @@ without ever sending it. The transcript is everything an eavesdropper sees.
 """
 
 import braidbreak as bb
+from braidbreak.protocol import PROTOCOLS
 
 for protocol_id in (1, 2):
     params = bb.ProtocolParams(
@@ -17,6 +18,8 @@ for protocol_id in (1, 2):
           f"(matrices are {t.dim}x{t.dim} over F_{t.p})")
     print(f"  public messages: x y w z u v; subgroup generators "
           f"A={[g.index for g in t.a_gens]} B={[g.index for g in t.b_gens]}")
+    for name, formula in PROTOCOLS[protocol_id].values.items():
+        print(f"    {name} = {formula}")
     print(f"  k_alice == k_bob -> {run.k_alice == run.k_bob}")
     mm = run.private_state.matrices
     if protocol_id == 1:

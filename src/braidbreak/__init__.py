@@ -31,7 +31,7 @@ from .errors import (
     SingularMatrixError,
     TranscriptFormatError,
 )
-from .field import DEFAULT_PRIME, FieldElement, OpCounter, PrimeField
+from .field import DEFAULT_PRIME, OpCounter, PrimeField
 from .matrix import EchelonState, SquareMatrix, gemm_mod
 from .protocol import (
     FixtureData,
@@ -64,7 +64,7 @@ __all__ = [
     "BraidbreakError", "FieldMismatchError", "MalformedTranscriptError",
     "NotInSpanError", "ProtocolInternalError", "RelationValidationError",
     "SingularMatrixError", "TranscriptFormatError",
-    "DEFAULT_PRIME", "FieldElement", "OpCounter", "PrimeField",
+    "DEFAULT_PRIME", "OpCounter", "PrimeField",
     "EchelonState", "SquareMatrix", "gemm_mod",
     "FixtureData", "HonestRun", "PrivateState", "ProtocolParams",
     "Transcript", "derive_trial_seed", "read_transcript", "run_protocol",

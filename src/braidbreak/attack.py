@@ -1,8 +1,8 @@
 """The linear decomposition attack: recover the shared key from a transcript.
 
-Three stages, each one basis build + express + substitute. For protocol 1
-every subspace is a two-sided B-module (left and right multipliers from B);
-for protocol 2 the left multipliers come from B and the right ones from A.
+Three stages, each one basis build + express + substitute. The left and
+right multipliers come from the subgroups protocol.PROTOCOLS names for the
+transcript's protocol: B and B for protocol 1, B and A for protocol 2.
 
     stage 1: basis over core w, express x, swap the core for u   -> M1
     stage 2: basis over core h, express y, swap the core for M1  -> M2
@@ -22,11 +22,9 @@ import json
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import MalformedTranscriptError, NotInSpanError
 from .matrix import SquareMatrix
-from .protocol import SCHEMA_VERSION, Transcript
+from .protocol import PROTOCOLS, SCHEMA_VERSION, Transcript
 from .span import DecoratedBasis, SideSpec, build_decorated_basis, express, substitute
 
 
@@ -37,7 +35,6 @@ class StageReport:
     stage: int
     basis_dim: int
     u_size: int
-    coeff_count: int
     build_mul_count: int
     bound_value: int
     intermediate: SquareMatrix | None
@@ -52,20 +49,14 @@ class AttackReport:
     p: int
     dim: int
     recovered_k: SquareMatrix
-    stage1: StageReport  # basis dim q (core w)
-    stage2: StageReport  # basis dim s (core h)
-    stage3: StageReport  # basis dim r (core z)
+    stages: tuple[StageReport, ...]  # cores w, h, z
     op_counts: tuple[int, int, int]  # (mul, add, inv) over the whole attack
     wall_time: float
 
     @property
-    def stages(self) -> tuple[StageReport, StageReport, StageReport]:
-        return (self.stage1, self.stage2, self.stage3)
-
-    @property
-    def stage_dims(self) -> tuple[int, int, int]:
+    def stage_dims(self) -> tuple[int, ...]:
         """(q, s, r): dims of the w-, h-, z-core bases."""
-        return (self.stage1.basis_dim, self.stage2.basis_dim, self.stage3.basis_dim)
+        return tuple(s.basis_dim for s in self.stages)
 
     @property
     def mul_count(self) -> int:
@@ -90,7 +81,7 @@ class AttackReport:
                     "stage": s.stage,
                     "basis_dim": s.basis_dim,
                     "u_size": s.u_size,
-                    "coeff_count": s.coeff_count,
+                    "coeff_count": s.basis_dim,  # one coefficient per entry
                     "mul_count": s.build_mul_count,
                     "bound_value": s.bound_value,
                 }
@@ -114,9 +105,6 @@ class AttackReport:
 # the previous stage's output
 STAGES = (("w", "x"), ("h", "y"), ("z", "v"))
 
-# generators of the left and the right multipliers, by protocol
-_SIDES = {1: ("b_gens", "b_gens"), 2: ("b_gens", "a_gens")}
-
 
 def _stage(
     stage_no: int,
@@ -139,7 +127,6 @@ def _stage(
         stage=stage_no,
         basis_dim=basis.dim,
         u_size=basis.u_size,
-        coeff_count=int(np.asarray(coeffs).shape[0]),
         build_mul_count=basis.build_mul_count,
         bound_value=basis.bound_value(),
         intermediate=out,
@@ -149,19 +136,19 @@ def _stage(
 
 
 def attack_transcript(t: Transcript) -> AttackReport:
-    """Recover K from a transcript: B..B subspaces for protocol 1, B..A for
-    protocol 2."""
+    """Recover K from a transcript, with the multipliers PROTOCOLS names."""
     field = t.field
     snap = field.ops.snapshot()
     t0 = time.perf_counter()
-    left, right = _SIDES[t.protocol_id]
-    sides = SideSpec.mixed(getattr(t, left), getattr(t, right))
+    gens = {"A": t.a_gens, "B": t.b_gens}
+    sides = SideSpec.mixed(*(gens[group] for group in PROTOCOLS[t.protocol_id].sides))
     # a wrong listed inverse would silently skew every span built below
     sides.validate()
-    m1, s1 = _stage(1, t, t.u, sides)
-    m2, s2 = _stage(2, t, m1, sides)
-    key, s3 = _stage(3, t, m2, sides)
-    s3.intermediate = None  # stage 3 output is the recovered key itself
+    replacement, stages = t.u, []
+    for stage_no in (1, 2, 3):
+        replacement, report = _stage(stage_no, t, replacement, sides)
+        stages.append(report)
+    stages[-1].intermediate = None  # stage 3 output is the recovered key itself
     wall = time.perf_counter() - t0
     return AttackReport(
         protocol_id=t.protocol_id,
@@ -169,10 +156,8 @@ def attack_transcript(t: Transcript) -> AttackReport:
         rep_kind=t.rep_kind,
         p=t.p,
         dim=t.dim,
-        recovered_k=key,
-        stage1=s1,
-        stage2=s2,
-        stage3=s3,
+        recovered_k=replacement,
+        stages=tuple(stages),
         op_counts=field.ops.delta(snap),
         wall_time=wall,
     )

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import RelationValidationError
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 from .matrix import SquareMatrix
 
 
@@ -57,14 +57,6 @@ class BraidWord:
     def inverse(self) -> "BraidWord":
         return BraidWord(self.n, tuple(-a for a in reversed(self.letters)))
 
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.n != other.n:
-            raise ValueError("strand count mismatch")
-        return BraidWord(self.n, self.letters + other.letters).free_reduce()
-
-    def __len__(self):
-        return len(self.letters)
-
 
 def sample_word(
     rng: random.Random,
@@ -93,7 +85,8 @@ def sample_word(
 class Representation:
     """Matrix images of the Artin generators, validated at construction.
 
-    gen_images[i-1] holds (image, exact inverse image) of s_i. Construction
+    gen_images[i-1] holds (image, exact inverse image) of s_i; params holds
+    the specialized residues (q, t), q None for Burau. Construction
     raises RelationValidationError if any image is singular, any stored
     inverse is wrong, or any braid relation fails. Instances are never
     mutated after validation and are safe to share across parallel trials.
@@ -104,7 +97,7 @@ class Representation:
         field: PrimeField,
         n: int,
         gen_images: list[tuple[SquareMatrix, SquareMatrix]],
-        params: tuple[FieldElement | None, FieldElement | None],
+        params: tuple[int | None, int],
         kind: str = "custom",
     ):
         if n < 3:
@@ -165,19 +158,16 @@ def _lk_pairs(n: int) -> list[tuple[int, int]]:
     return [(s, u) for s in range(1, n + 1) for u in range(s + 1, n + 1)]
 
 
-def lk_representation(
-    field: PrimeField, n: int, q: FieldElement | int, t: FieldElement | int
-) -> Representation:
+def lk_representation(field: PrimeField, n: int, q: int, t: int) -> Representation:
     """Lawrence-Krammer representation of B_n, dimension n(n-1)/2.
 
     Basis vectors are indexed by strand pairs (s, u), 1 <= s < u <= n, in
     lexicographic order; s_i acts by Krammer's formulas with the two unit
-    parameters specialized to field elements. Requires q not in {0, 1} and
+    parameters specialized to residues. Requires q not in {0, 1} and
     t != 0 so all images stay invertible.
     """
     p = field.p
-    qv = q.value if isinstance(q, FieldElement) else int(q) % p
-    tv = t.value if isinstance(t, FieldElement) else int(t) % p
+    qv, tv = int(q) % p, int(t) % p
     if n < 3:
         raise ValueError(f"need at least 3 strands, got {n}")
     if qv in (0, 1) or tv == 0:
@@ -215,14 +205,10 @@ def lk_representation(
                 put((s, u + 1), qv)
         mat = SquareMatrix(field, arr)
         images.append((mat, mat.inverse()))
-    return Representation(
-        field, n, images, (field.element(qv), field.element(tv)), kind="lk"
-    )
+    return Representation(field, n, images, (qv, tv), kind="lk")
 
 
-def burau_representation(
-    field: PrimeField, n: int, t: FieldElement | int
-) -> Representation:
+def burau_representation(field: PrimeField, n: int, t: int) -> Representation:
     """Unreduced Burau representation of B_n, dimension n.
 
     s_i acts as the identity outside the 2x2 block [[1-t, t], [1, 0]] at
@@ -230,7 +216,7 @@ def burau_representation(
     rejected (singular images).
     """
     p = field.p
-    tv = t.value if isinstance(t, FieldElement) else int(t) % p
+    tv = int(t) % p
     if n < 3:
         raise ValueError(f"need at least 3 strands, got {n}")
     if tv == 0:
@@ -244,7 +230,7 @@ def burau_representation(
         arr[i, i] = 0
         mat = SquareMatrix(field, arr)
         images.append((mat, mat.inverse()))
-    return Representation(field, n, images, (None, field.element(tv)), kind="burau")
+    return Representation(field, n, images, (None, tv), kind="burau")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .attack import STAGES, AttackReport, attack_transcript, verify_against_oracle
 from .bench import bench_text, format_table, run_bench
-from .errors import BraidbreakError
+from .errors import BraidbreakError, TranscriptFormatError
 from .field import DEFAULT_PRIME
 from .protocol import (
     SCHEMA_VERSION,
@@ -54,6 +54,15 @@ def _params(args, protocol_id=None, seed=None) -> ProtocolParams:
 
 def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
+
+
+def _read(path: str):
+    """read_transcript of the file at path."""
+    try:
+        text = Path(path).read_text("utf-8")
+    except UnicodeDecodeError as e:
+        raise TranscriptFormatError(f"{path} is not UTF-8 text: {e}") from e
+    return read_transcript(text)
 
 
 def cmd_simulate(args) -> int:
@@ -95,7 +104,7 @@ def _bases_document(report: AttackReport) -> dict:
 
 
 def cmd_attack(args) -> int:
-    transcript, _ = read_transcript(Path(args.transcript).read_text("utf-8"))
+    transcript, _ = _read(args.transcript)
     report = attack_transcript(transcript)
     q, s, r = report.stage_dims
     timing = f" wall={report.wall_time * 1000:.1f}ms" if args.timings else ""
@@ -114,7 +123,7 @@ def cmd_attack(args) -> int:
         _write(dump_path, json.dumps(_bases_document(report), indent=1) + "\n")
         print(f"attack: bases -> {dump_path}")
     if args.fixture:
-        _, fixture = read_transcript(Path(args.fixture).read_text("utf-8"))
+        _, fixture = _read(args.fixture)
         if fixture is None:
             print("attack: fixture file has no private section", file=sys.stderr)
             return 1
@@ -251,7 +260,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as e:
+    except OSError as e:  # names the path: missing, a directory, unreadable
         print(f"error: {e}", file=sys.stderr)
         return 1
     except BraidbreakError as e:

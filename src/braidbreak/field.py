@@ -1,16 +1,15 @@
 """Exact arithmetic in the prime field F_p with operation counting.
 
 A PrimeField is the shared context (modulus + counters) for everything in a
-run: scalars, matrices, protocol transcripts. Residues are canonical ints in
-[0, p). Matrix modules work on raw numpy arrays of residues and report their
-work in bulk to the same OpCounter that scalar operations feed, so counted
-totals always equal the sum of per-operation increments.
+run: residues, matrices, protocol transcripts. Residues are plain ints in
+[0, p); matrix kernels work on numpy arrays of them. Every kernel reports its
+work to the field's OpCounter, and inverse_int counts each scalar inverse, so
+counted totals always equal the sum of per-operation increments.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,9 +73,6 @@ class OpCounter:
             self.inv_count - snap[2],
         )
 
-    def reset(self) -> None:
-        self.mul_count = self.add_count = self.inv_count = 0
-
 
 class PrimeField:
     """Field context: odd prime modulus, array dtype, operation counter."""
@@ -98,19 +94,6 @@ class PrimeField:
     def __hash__(self):
         return hash(("PrimeField", self.p))
 
-    # -- scalar layer ------------------------------------------------------
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value % self.p)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
     def inverse_int(self, a: int) -> int:
         """Inverse of the residue a via extended Euclid. a must be nonzero."""
         a %= self.p
@@ -125,12 +108,6 @@ class PrimeField:
             s0, s1 = s1, s0 - q * s1
         self.ops.inv_count += 1
         return s0 % self.p
-
-    def random_nonzero(self, rng: random.Random) -> "FieldElement":
-        """Uniform over [1, p); deterministic for a seeded rng."""
-        return FieldElement(self, rng.randrange(1, self.p))
-
-    # -- array layer -------------------------------------------------------
 
     def asarray(self, data) -> np.ndarray:
         """Canonicalize nested int data into a residue array of this field."""
@@ -151,66 +128,3 @@ class PrimeField:
             raise FieldMismatchError(
                 f"modulus mismatch: {self.p} vs {other.p}"
             )
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Immutable residue in [0, p) tied to its PrimeField context."""
-
-    field: PrimeField = dc_field(repr=False)
-    value: int = 0
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            self.field.check_same(other.field)
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        self.field.ops.add_count += 1
-        return FieldElement(self.field, (self.value + v) % self.field.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        self.field.ops.add_count += 1
-        return FieldElement(self.field, (self.value - v) % self.field.p)
-
-    def __neg__(self):
-        return FieldElement(self.field, (-self.value) % self.field.p)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        self.field.ops.mul_count += 1
-        return FieldElement(self.field, self.value * v % self.field.p)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inverse_int(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field.p == other.field.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.p, self.value))
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.field.p})"
-
-    def __str__(self):
-        return str(self.value)

@@ -157,10 +157,6 @@ class SquareMatrix:
     def identity(cls, field: PrimeField, m: int) -> "SquareMatrix":
         return cls(field, field.identity_array(m))
 
-    @classmethod
-    def zero(cls, field: PrimeField, m: int) -> "SquareMatrix":
-        return cls(field, field.zeros((m, m)))
-
     @property
     def dim(self) -> int:
         return self.a.shape[0]
@@ -170,21 +166,6 @@ class SquareMatrix:
         if self.dim != other.dim:
             raise ValueError(f"dim mismatch: {self.dim} vs {other.dim}")
         return SquareMatrix(self.field, gemm_mod(self.field, self.a, other.a))
-
-    def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
-        self.field.check_same(other.field)
-        self.field.ops.add_count += self.a.size
-        return SquareMatrix(self.field, (self.a + other.a) % self.field.p)
-
-    def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
-        self.field.check_same(other.field)
-        self.field.ops.add_count += self.a.size
-        return SquareMatrix(self.field, (self.a - other.a) % self.field.p)
-
-    def scale(self, c: int) -> "SquareMatrix":
-        c %= self.field.p
-        self.field.ops.mul_count += self.a.size
-        return SquareMatrix(self.field, self.a * c % self.field.p)
 
     def inverse(self) -> "SquareMatrix":
         """Exact inverse; raises SingularMatrixError."""

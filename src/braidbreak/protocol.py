@@ -1,38 +1,25 @@
 """Honest simulation of the two double-shielded key exchange protocols.
 
-Both protocols run over a matrix image of B_n. The parties' private elements
+Both protocols run over a matrix image of B_n. The parties' private factors
 are random words in the commuting subgroups A (Artin indices 1..split-1) and
 B (split+1..n-1), evaluated to matrices; every transmitted element is a
-matrix. A run produces the public Transcript plus, privately, the agreed key
-and the sampled words, which tests use as an oracle.
-
-Protocol 1 message flow (c's, d's in A; f's, g's in B):
-
-    Alice: x = d1 c1 h c2 d2
-    Bob:   y = g1 f1 h f2 g2,  w = g3 f1 x f2 g4
-    Alice: z = d3 c1 y c2 d4,  u = d1^-1 w d2^-1
-    Bob:   v = g1^-1 z g2^-1
-    keys:  K_A = d3^-1 v d4^-1 = K_B = g3^-1 u g4^-1 = c1 f1 h f2 c2
-
-Protocol 2 (Alice holds c1, d1 in A and f2, g2 in B; Bob holds c2, d2, d3
-in A and f1, g1, g3 in B; then Alice d4 in A, g4 in B):
-
-    Alice: x = d1 c1 h f2 g2
-    Bob:   y = g1 f1 h c2 d2,  w = g3 f1 x c2 d3
-    Alice: z = d4 c1 y f2 g4,  u = d1^-1 w g2^-1
-    Bob:   v = g1^-1 z d2^-1
-    keys:  K_A = d4^-1 v g4^-1 = K_B = g3^-1 u d3^-1 = c1 f1 h c2 f2
+matrix. PROTOCOLS describes each protocol once: which subgroup each private
+factor comes from, how each message and key is formed, and which subgroups
+the attack multiplies by on the left and on the right. A run produces the
+public Transcript plus, privately, the agreed key and the sampled words,
+which tests use as an oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import random
 from dataclasses import dataclass
 
 from .braid import (
     BraidWord,
-    CommutingPair,
     LabeledGenerator,
     Representation,
     burau_representation,
@@ -49,6 +36,9 @@ from .matrix import SquareMatrix
 SCHEMA_VERSION = 1
 
 REP_KINDS = ("lk", "burau")
+
+# JSON types an integer field may take: an integer or a decimal string
+_INT_TYPES = {int, str}
 
 _MASK64 = (1 << 64) - 1
 
@@ -67,6 +57,47 @@ def derive_trial_seed(master: int, trial: int) -> int:
 
 
 @dataclass(frozen=True)
+class ProtocolSpec:
+    """One protocol, described once.
+
+    factors: (subgroup, names) runs of the private factors, in draw order.
+    values: the messages x, y, w, z, u, v and the keys k_alice, k_bob, in
+    order, each a product of h, the factors and earlier values; "d1^-1"
+    stands for the inverse of d1.
+    sides: the subgroups of the attack's left and right multipliers.
+    """
+
+    factors: tuple[tuple[str, str], ...]
+    values: dict[str, str]
+    sides: tuple[str, str]
+
+
+PROTOCOLS = {
+    1: ProtocolSpec(
+        factors=(("A", "c1 c2 d1 d2"), ("B", "f1 f2 g1 g2 g3 g4"), ("A", "d3 d4")),
+        values={
+            "x": "d1 c1 h c2 d2", "y": "g1 f1 h f2 g2",
+            "w": "g3 f1 x f2 g4", "z": "d3 c1 y c2 d4",
+            "u": "d1^-1 w d2^-1", "v": "g1^-1 z g2^-1",
+            "k_alice": "d3^-1 v d4^-1", "k_bob": "g3^-1 u g4^-1",  # c1 f1 h f2 c2
+        },
+        sides=("B", "B"),
+    ),
+    2: ProtocolSpec(
+        factors=(("A", "c1 d1"), ("B", "f2 g2"), ("A", "c2 d2 d3"),
+                 ("B", "f1 g1 g3"), ("A", "d4"), ("B", "g4")),
+        values={
+            "x": "d1 c1 h f2 g2", "y": "g1 f1 h c2 d2",
+            "w": "g3 f1 x c2 d3", "z": "d4 c1 y f2 g4",
+            "u": "d1^-1 w g2^-1", "v": "g1^-1 z d2^-1",
+            "k_alice": "d4^-1 v g4^-1", "k_bob": "g3^-1 u d3^-1",  # c1 f1 h c2 f2
+        },
+        sides=("B", "A"),
+    ),
+}
+
+
+@dataclass(frozen=True)
 class ProtocolParams:
     """Everything a run needs; q and t default to seed-derived draws."""
 
@@ -81,8 +112,11 @@ class ProtocolParams:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.protocol_id not in (1, 2):
-            raise ValueError(f"protocol_id must be 1 or 2, got {self.protocol_id}")
+        # True == 1, but a transcript never says "protocol_id": true
+        if isinstance(self.protocol_id, bool) or self.protocol_id not in PROTOCOLS:
+            raise ValueError(
+                f"protocol_id must be one of {tuple(PROTOCOLS)}, got {self.protocol_id}"
+            )
         if self.rep_kind not in REP_KINDS:
             raise ValueError(f"rep_kind must be one of {REP_KINDS}")
         if self.n < 4:
@@ -139,110 +173,60 @@ class HonestRun:
     private_state: PrivateState
 
 
-def _build_representation(
-    field: PrimeField, params: ProtocolParams, rng: random.Random
-) -> tuple[Representation, int, int]:
-    # draw order is part of the determinism contract: q first, then t
+def run_protocol(params: ProtocolParams) -> HonestRun:
+    """Honest run of a protocol in PROTOCOLS: draw h and the private factors
+    in table order, then form each value from the table; raises if key
+    agreement were to fail."""
+    params.validate()
+    spec = PROTOCOLS[params.protocol_id]
+    field = PrimeField(params.p)
+    n, word_len = params.n, params.word_len
+    rng = random.Random(params.seed)
+    # draw order is part of the determinism contract: q, t, h, the factors
     q = params.q if params.q is not None else rng.randrange(2, field.p)
     t = params.t if params.t is not None else rng.randrange(1, field.p)
     if params.rep_kind == "lk":
-        rep = lk_representation(field, params.n, q, t)
+        rep = lk_representation(field, n, q, t)
     else:
-        rep = burau_representation(field, params.n, t)
-    return rep, q % field.p, t % field.p
+        rep = burau_representation(field, n, t)
+    split = params.split if params.split is not None else default_split(n)
+    pair = commuting_subgroups(rep, split)
+    indices = {"A": range(1, split), "B": range(split + 1, n)}
 
+    words = {"h": sample_word(rng, n, range(1, n), *word_len)}
+    for group, names in spec.factors:
+        for name in names.split():
+            words[name] = sample_word(rng, n, indices[group], *word_len)
+    mats = {name: evaluate(rep, word) for name, word in words.items()}
 
-def _sample_words(
-    rng: random.Random,
-    rep: Representation,
-    names_indices: list[tuple[str, range]],
-    word_len: tuple[int, int],
-) -> tuple[dict[str, BraidWord], dict[str, SquareMatrix]]:
-    words: dict[str, BraidWord] = {}
-    mats: dict[str, SquareMatrix] = {}
-    for name, indices in names_indices:
-        word = sample_word(rng, rep.n, indices, word_len[0], word_len[1])
-        words[name] = word
-        mats[name] = evaluate(rep, word)
-    return words, mats
+    values = dict(mats)
+    for name, formula in spec.values.items():
+        toks = formula.split()
+        for tok in toks:
+            if tok not in values:  # an inverse, computed on first use
+                values[tok] = values[tok.removesuffix("^-1")].inverse()
+        values[name] = functools.reduce(operator.matmul, [values[tok] for tok in toks])
 
-
-def _run(params: ProtocolParams) -> HonestRun:
-    params.validate()
-    field = PrimeField(params.p)
-    rng = random.Random(params.seed)
-    rep, q, t = _build_representation(field, params, rng)
-    split = params.split if params.split is not None else default_split(params.n)
-    pair: CommutingPair = commuting_subgroups(rep, split)
-    a_idx = range(1, split)
-    b_idx = range(split + 1, params.n)
-    all_idx = range(1, params.n)
-
-    h_word = sample_word(rng, params.n, all_idx, *params.word_len)
-    h = evaluate(rep, h_word)
-
-    if params.protocol_id == 1:
-        roles = [(nm, a_idx) for nm in ("c1", "c2", "d1", "d2")]
-        roles += [(nm, b_idx) for nm in ("f1", "f2", "g1", "g2", "g3", "g4")]
-        roles += [(nm, a_idx) for nm in ("d3", "d4")]
-    else:
-        roles = [("c1", a_idx), ("d1", a_idx), ("f2", b_idx), ("g2", b_idx)]
-        roles += [(nm, a_idx) for nm in ("c2", "d2", "d3")]
-        roles += [(nm, b_idx) for nm in ("f1", "g1", "g3")]
-        roles += [("d4", a_idx), ("g4", b_idx)]
-    words, mm = _sample_words(rng, rep, roles, params.word_len)
-    words["h"] = h_word
-
-    inv = {name: mat.inverse() for name, mat in mm.items()}
-
-    if params.protocol_id == 1:
-        x = mm["d1"] @ mm["c1"] @ h @ mm["c2"] @ mm["d2"]
-        y = mm["g1"] @ mm["f1"] @ h @ mm["f2"] @ mm["g2"]
-        w = mm["g3"] @ mm["f1"] @ x @ mm["f2"] @ mm["g4"]
-        z = mm["d3"] @ mm["c1"] @ y @ mm["c2"] @ mm["d4"]
-        u = inv["d1"] @ w @ inv["d2"]
-        v = inv["g1"] @ z @ inv["g2"]
-        k_alice = inv["d3"] @ v @ inv["d4"]
-        k_bob = inv["g3"] @ u @ inv["g4"]
-    else:
-        x = mm["d1"] @ mm["c1"] @ h @ mm["f2"] @ mm["g2"]
-        y = mm["g1"] @ mm["f1"] @ h @ mm["c2"] @ mm["d2"]
-        w = mm["g3"] @ mm["f1"] @ x @ mm["c2"] @ mm["d3"]
-        z = mm["d4"] @ mm["c1"] @ y @ mm["f2"] @ mm["g4"]
-        u = inv["d1"] @ w @ inv["g2"]
-        v = inv["g1"] @ z @ inv["d2"]
-        k_alice = inv["d4"] @ v @ inv["g4"]
-        k_bob = inv["g3"] @ u @ inv["d3"]
-
+    k_alice, k_bob = values["k_alice"], values["k_bob"]
     if k_alice != k_bob:
-        raise ProtocolInternalError(
-            "simulator bug: k_alice != k_bob on an honest run"
-        )
+        raise ProtocolInternalError("simulator bug: k_alice != k_bob on an honest run")
 
     transcript = Transcript(
         protocol_id=params.protocol_id,
-        n=params.n,
+        n=n,
         rep_kind=params.rep_kind,
         field=field,
-        q=q,
-        t=t,
+        q=q % field.p,
+        t=t % field.p,
         split=split,
         dim=rep.dim,
-        h=h,
         a_gens=pair.a_gens,
         b_gens=pair.b_gens,
-        x=x, y=y, w=w, z=z, u=u, v=v,
+        **{name: values[name] for name in "hxywzuv"},
     )
-    mats = dict(mm)
-    mats["h"] = h
     mats["k"] = k_alice
     private = PrivateState(rep=rep, words=words, matrices=mats)
     return HonestRun(transcript, k_alice, k_bob, private)
-
-
-def run_protocol(params: ProtocolParams) -> HonestRun:
-    """Honest run of either protocol; raises if key agreement were to fail."""
-    return _run(params)
 
 
 # -- transcript document ----------------------------------------------------
@@ -252,14 +236,10 @@ def _gen_doc(g: LabeledGenerator) -> dict:
     return {"index": g.index, "matrix": g.mat.to_rows(), "inverse": g.inv.to_rows()}
 
 
-def transcript_document(run_or_transcript, include_private: bool = False) -> dict:
-    """Canonical key/value tree for a transcript (optionally with privates)."""
-    if isinstance(run_or_transcript, HonestRun):
-        t = run_or_transcript.transcript
-        run = run_or_transcript
-    else:
-        t = run_or_transcript
-        run = None
+def transcript_document(run: HonestRun, include_private: bool = False) -> dict:
+    """Canonical key/value tree for a run's transcript (optionally with
+    privates)."""
+    t = run.transcript
     doc = {
         "schema_version": SCHEMA_VERSION,
         "protocol_id": t.protocol_id,
@@ -273,16 +253,9 @@ def transcript_document(run_or_transcript, include_private: bool = False) -> dic
         "h": t.h.to_rows(),
         "a_gens": [_gen_doc(g) for g in t.a_gens],
         "b_gens": [_gen_doc(g) for g in t.b_gens],
-        "x": t.x.to_rows(),
-        "y": t.y.to_rows(),
-        "w": t.w.to_rows(),
-        "z": t.z.to_rows(),
-        "u": t.u.to_rows(),
-        "v": t.v.to_rows(),
+        **{name: getattr(t, name).to_rows() for name in "xywzuv"},
     }
     if include_private:
-        if run is None:
-            raise ValueError("private section requires an HonestRun")
         doc["private"] = {
             "k": run.k_alice.to_rows(),
             "words": {
@@ -316,43 +289,58 @@ def _require(doc: dict, key: str, where: str = ""):
     return doc[key]
 
 
-def _int(doc: dict, key: str, where: str = "") -> int:
-    """An integer field, given as a JSON integer or a decimal string."""
-    value = _require(doc, key, where)
-    try:
-        if isinstance(value, (int, str)) and not isinstance(value, bool):
+def _as_int(value, name: str) -> int:
+    """value if it is a JSON integer or a decimal string, never a float or a
+    bool; name is the dotted path of the field."""
+    if type(value) in _INT_TYPES:
+        try:
             return int(value)
-    except ValueError:
-        pass
-    raise TranscriptFormatError(
-        f"transcript field {where}{key} is not an integer: {value!r}"
-    )
+        except ValueError:
+            pass
+    raise TranscriptFormatError(f"transcript field {name} is not an integer: {value!r}")
+
+
+def _int(doc: dict, key: str, where: str = "") -> int:
+    return _as_int(_require(doc, key, where), where + key)
 
 
 def _mat(field: PrimeField, rows, dim: int, name: str) -> SquareMatrix:
-    try:
-        m = SquareMatrix.from_rows(field, [[int(x) for x in row] for row in rows])
-    except (TypeError, ValueError) as e:
-        raise TranscriptFormatError(f"bad matrix {name}: {e}") from e
-    if m.dim != dim:
-        raise TranscriptFormatError(f"matrix {name} has dim {m.dim}, expected {dim}")
-    return m
+    """A dim x dim matrix given as rows whose entries follow _as_int's rule."""
+    if not (
+        isinstance(rows, list)
+        and len(rows) == dim
+        and all(isinstance(row, list) and len(row) == dim for row in rows)
+    ):
+        raise TranscriptFormatError(f"transcript field {name} is not a {dim} x {dim} matrix")
+    if {type(x) for row in rows for x in row} <= _INT_TYPES:
+        try:
+            return SquareMatrix(field, field.asarray([[int(x) for x in row] for row in rows]))
+        except ValueError:
+            pass  # a string that is not decimal, named below
+    ints = [
+        [_as_int(x, f"{name}[{i}][{j}]") for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    return SquareMatrix(field, field.asarray(ints))
 
 
 def read_transcript(text: str) -> tuple[Transcript, FixtureData | None]:
-    """Parse a transcript document; returns the fixture when present."""
+    """Parse a transcript document; returns the fixture when present.
+
+    Every schema error is a TranscriptFormatError naming the field.
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise TranscriptFormatError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise TranscriptFormatError("transcript document must be an object")
-    if _require(doc, "schema_version") != SCHEMA_VERSION:
+    if _int(doc, "schema_version") != SCHEMA_VERSION:
         raise TranscriptFormatError(
-            f"unsupported schema_version {doc.get('schema_version')}"
+            f"unsupported schema_version {doc['schema_version']!r}"
         )
-    protocol_id = _require(doc, "protocol_id")
-    if protocol_id not in (1, 2):
+    protocol_id = _int(doc, "protocol_id")
+    if protocol_id not in PROTOCOLS:
         raise TranscriptFormatError(f"bad protocol_id {protocol_id}")
     rep_kind = _require(doc, "rep_kind")
     if rep_kind not in REP_KINDS:
@@ -369,8 +357,12 @@ def read_transcript(text: str) -> tuple[Transcript, FixtureData | None]:
         raise TranscriptFormatError(
             f"transcript field dim is {dim}, but {rep_kind} at n={n} has dim {rep_dim}"
         )
+    if not 2 <= split <= n - 2:
+        raise TranscriptFormatError(
+            f"transcript field split is {split}, but n={n} needs it in [2, {n - 2}]"
+        )
 
-    def gens(key: str) -> tuple[LabeledGenerator, ...]:
+    def gens(key: str, indices: range) -> tuple[LabeledGenerator, ...]:
         entries = _require(doc, key)
         if not isinstance(entries, list):
             raise TranscriptFormatError(f"transcript field {key} must be a list")
@@ -384,6 +376,12 @@ def read_transcript(text: str) -> tuple[Transcript, FixtureData | None]:
                     _mat(field, _require(gd, "inverse", where), dim, f"{where}inverse"),
                 )
             )
+        got = [g.index for g in out]
+        if len(got) != len(indices) or got != list(indices):
+            raise TranscriptFormatError(
+                f"transcript field {key} has indices {got}, but n={n} and "
+                f"split={split} need {indices.start}..{indices.stop - 1} in order"
+            )
         return tuple(out)
 
     transcript = Transcript(
@@ -395,15 +393,9 @@ def read_transcript(text: str) -> tuple[Transcript, FixtureData | None]:
         t=_int(doc, "t"),
         split=split,
         dim=dim,
-        h=_mat(field, _require(doc, "h"), dim, "h"),
-        a_gens=gens("a_gens"),
-        b_gens=gens("b_gens"),
-        x=_mat(field, _require(doc, "x"), dim, "x"),
-        y=_mat(field, _require(doc, "y"), dim, "y"),
-        w=_mat(field, _require(doc, "w"), dim, "w"),
-        z=_mat(field, _require(doc, "z"), dim, "z"),
-        u=_mat(field, _require(doc, "u"), dim, "u"),
-        v=_mat(field, _require(doc, "v"), dim, "v"),
+        a_gens=gens("a_gens", range(1, split)),
+        b_gens=gens("b_gens", range(split + 1, n)),
+        **{name: _mat(field, _require(doc, name), dim, name) for name in "hxywzuv"},
     )
     fixture = None
     if "private" in doc:

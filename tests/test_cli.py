@@ -237,6 +237,17 @@ def _mutate(doc, path, value):
     (("n",), 7, "dim"),  # lk at n=4 has dim 6, at n=7 dim 21
     (("dim",), 4, "dim"),
     (("rep_kind",), "burau", "dim"),  # burau at n=4 has dim 4
+    (("x", 0, 0), float("inf"), "x[0][0]"),  # written as Infinity
+    (("x", 0, 1), 2.9, "x[0][1]"),
+    (("x", 1, 0), True, "x[1][0]"),
+    (("a_gens", 0, "inverse", 1, 0), "1e3", "a_gens[0].inverse[1][0]"),
+    (("h", 2), "123456", "h"),
+    (("protocol_id",), True, "protocol_id"),
+    (("schema_version",), True, "schema_version"),
+    (("split",), 0, "split"),
+    (("split",), 99, "split"),
+    (("a_gens",), [], "a_gens"),
+    (("b_gens", 0, "index"), 99, "b_gens"),
 ])
 def test_attack_schema_errors_are_named(tmp_path, capsys, path, value, field):
     t = tmp_path / "t.json"
@@ -277,3 +288,30 @@ def test_attack_rejects_wrong_listed_inverse(tmp_path, capsys):
     err = capsys.readouterr().err
     label = doc["b_gens"][0]["index"]
     assert f"RelationValidationError: left multiplier label {label}" in err
+
+
+@pytest.mark.parametrize("which", ["transcript", "fixture"])
+@pytest.mark.parametrize("bad,named", [
+    ("nested", "TranscriptFormatError: not valid JSON"),
+    ("directory", "error: [Errno"),
+    ("latin-1", "TranscriptFormatError: "),
+])
+def test_attack_bad_file_is_a_named_error(tmp_path, capsys, which, bad, named):
+    t = tmp_path / "t.json"
+    run_cli(["simulate", "--n", "4", "--seed", "15", "--out", str(t)])
+    path = tmp_path / "bad.json"
+    if bad == "nested":
+        path.write_text("[" * 200_000)
+    elif bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes('{"rep_kind": "l\u00fc"}'.encode("latin-1"))
+    argv = ["attack", str(path)]
+    if which == "fixture":
+        argv = ["attack", str(t), "--fixture", str(path)]
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert named in err
+    if bad != "nested":
+        assert str(path) in err

@@ -1,4 +1,5 @@
-"""Prime field arithmetic, counters, and the randomness contract."""
+"""Prime field residues: the modulus check, inverse_int, gemm_mod and the
+operation counters."""
 
 import random
 
@@ -22,91 +23,80 @@ def test_composites_and_even_rejected(bad):
         bb.PrimeField(bad)
 
 
+def _gemm(f, a, b):
+    return bb.gemm_mod(f, f.asarray(a), f.asarray(b)).tolist()
+
+
 def test_add_examples():
+    # a 1 x 2 row times a column of ones is the sum of the row, mod p
     f = bb.PrimeField(101)
-    x = f.element(37)
-    assert f.zero + x == x
-    assert f.element(100) + f.element(1) == f.zero
-    assert f.element(3) + f.element(4) == f.element(7)
+    ones = [[1], [1]]
+    assert _gemm(f, [[37, 0]], ones) == [[37]]
+    assert _gemm(f, [[100, 1]], ones) == [[0]]
+    assert _gemm(f, [[3, 4]], ones) == [[7]]
 
 
 def test_mul_examples():
     f = field()
     rng = random.Random(0)
-    x = f.random_nonzero(rng)
-    assert f.one * x == x
-    assert f.zero * x == f.zero
-    assert x * x.inverse() == f.one
+    x = rng.randrange(1, f.p)
+    assert _gemm(f, [[1]], [[x]]) == [[x]]
+    assert _gemm(f, [[0]], [[x]]) == [[0]]
+    assert _gemm(f, [[x]], [[f.inverse_int(x)]]) == [[1]]
 
 
 def test_inverse_examples():
     f = bb.PrimeField(101)
-    assert f.element(1).inverse() == f.element(1)
-    assert f.element(100).inverse() == f.element(100)  # (-1)^2 = 1
-    # oracle: brute-force scan of residues for 2*b = 1 mod 101
-    expected = next(b for b in range(1, 101) if 2 * b % 101 == 1)
-    assert expected == 51
-    assert f.element(2).inverse() == f.element(51)
+    assert f.inverse_int(1) == 1
+    assert f.inverse_int(100) == 100  # (-1)^2 = 1
+    # oracle: brute-force scan of residues for a*b = 1 mod 101
+    for a in range(1, 101):
+        assert f.inverse_int(a) == next(b for b in range(1, 101) if a * b % 101 == 1)
+    assert f.inverse_int(2) == 51
+    assert f.inverse_int(2 + 101) == 51  # any representative of the residue
 
 
 def test_inverse_of_zero_raises():
     f = field()
-    with pytest.raises(ZeroDivisionError):
-        f.element(0).inverse()
+    for zero in (0, f.p, -f.p):
+        with pytest.raises(ZeroDivisionError):
+            f.inverse_int(zero)
 
 
 def test_modulus_mismatch_raises():
-    a = bb.PrimeField(101).element(5)
-    b = bb.PrimeField(103).element(5)
+    a = bb.SquareMatrix.identity(bb.PrimeField(101), 2)
+    b = bb.SquareMatrix.identity(bb.PrimeField(103), 2)
     with pytest.raises(bb.FieldMismatchError):
-        _ = a + b
+        _ = a @ b
     with pytest.raises(bb.FieldMismatchError):
-        _ = a * b
+        _ = b @ a
 
 
 def test_field_axioms_on_random_triples():
+    # gemm_mod against python-int arithmetic: 1 x 1 products are the field's
+    # multiplication, 1 x 2 @ 2 x 1 its addition
     f = field()
+    p = f.p
     rng = random.Random(7)
-    for _ in range(1000):
-        a, b, c = (f.element(rng.randrange(f.p)) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+    for _ in range(300):
+        a, b, c = (rng.randrange(p) for _ in range(3))
+        assert _gemm(f, [[a]], [[b]]) == [[a * b % p]] == _gemm(f, [[b]], [[a]])
+        assert _gemm(f, [[a, b]], [[1], [1]]) == [[(a + b) % p]]
+        assert _gemm(f, [[a, b]], [[c], [c]]) == [[(a * c + b * c) % p]]
+    x, y, z = (
+        f.asarray([[rng.randrange(p) for _ in range(4)] for _ in range(4)]) for _ in range(3)
+    )
+    xy = bb.gemm_mod(f, x, y)
+    assert (bb.gemm_mod(f, xy, z) == bb.gemm_mod(f, x, bb.gemm_mod(f, y, z))).all()
+    assert (bb.gemm_mod(f, x, (y + z) % p) == (xy + bb.gemm_mod(f, x, z)) % p).all()
 
 
 def test_inverse_involution():
     f = field()
     rng = random.Random(8)
     for _ in range(200):
-        a = f.random_nonzero(rng)
-        assert a.inverse().inverse() == a
-
-
-def test_random_nonzero_contract():
-    f = field()
-    r1, r2 = random.Random(99), random.Random(99)
-    draws1 = [f.random_nonzero(r1) for _ in range(10)]
-    draws2 = [f.random_nonzero(r2) for _ in range(10)]
-    assert draws1 == draws2  # same seed, same stream
-    assert all(1 <= d.value < f.p for d in draws1)
-    assert len({d.value for d in draws1}) > 1
-
-
-def test_random_nonzero_frequency():
-    # 10^4 draws over p=101: every residue appears; chi-square sane
-    f = bb.PrimeField(101)
-    rng = random.Random(5)
-    counts = [0] * 101
-    n = 10_000
-    for _ in range(n):
-        counts[f.random_nonzero(rng).value] += 1
-    assert counts[0] == 0
-    assert all(c > 0 for c in counts[1:])
-    expected = n / 100
-    chi2 = sum((c - expected) ** 2 / expected for c in counts[1:])
-    assert chi2 < 150  # df=99, loose sanity threshold
+        a = rng.randrange(1, f.p)
+        assert f.inverse_int(f.inverse_int(a)) == a
 
 
 def test_op_counter_totals_match_increment_sum():
@@ -115,23 +105,23 @@ def test_op_counter_totals_match_increment_sum():
     snap = f.ops.snapshot()
     deltas = [0, 0, 0]
     for _ in range(50):
-        a, b = f.element(rng.randrange(101)), f.element(rng.randrange(101))
+        k, r, n = (rng.randrange(1, 5) for _ in range(3))
+        a = f.asarray([[rng.randrange(101) for _ in range(r)] for _ in range(k)])
+        b = f.asarray([[rng.randrange(101) for _ in range(n)] for _ in range(r)])
         before = f.ops.snapshot()
-        _ = a * b
-        _ = a + b
-        _ = f.random_nonzero(rng).inverse()
+        bb.gemm_mod(f, a, b)
+        f.inverse_int(rng.randrange(1, 101))
         d = f.ops.delta(before)
-        assert all(x >= 0 for x in d)  # monotone within the scope
+        assert d == (k * r * n, k * n * (r - 1), 1)
         deltas = [x + y for x, y in zip(deltas, d)]
     assert list(f.ops.delta(snap)) == deltas
 
 
 def test_counters_are_monotone():
     f = bb.PrimeField(101)
-    a, b = f.element(3), f.element(9)
-    m0 = f.ops.mul_count
-    _ = a * b
-    m1 = f.ops.mul_count
-    assert m1 == m0 + 1
-    _ = a + b
-    assert f.ops.add_count > 0
+    m0, a0 = f.ops.mul_count, f.ops.add_count
+    bb.gemm_mod(f, f.zeros((2, 3)), f.zeros((3, 4)))
+    assert f.ops.mul_count == m0 + 2 * 3 * 4
+    assert f.ops.add_count == a0 + 2 * 4 * 2
+    f.inverse_int(3)
+    assert f.ops.inv_count == 1

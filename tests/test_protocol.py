@@ -142,6 +142,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         bb.ProtocolParams(protocol_id=3).validate()
     with pytest.raises(ValueError):
+        bb.ProtocolParams(protocol_id=True).validate()
+    with pytest.raises(ValueError):
         bb.ProtocolParams(n=3).validate()
     with pytest.raises(ValueError):
         bb.ProtocolParams(rep_kind="nope").validate()
@@ -156,3 +158,24 @@ def test_trial_seed_mixing():
     assert len(seeds) == 100
     assert derive_trial_seed(42, 7) == derive_trial_seed(42, 7)
     assert derive_trial_seed(42, 7) != derive_trial_seed(43, 7)
+
+
+@pytest.mark.parametrize("mutate,field", [
+    (lambda d: d.update(split=2), "a_gens"),  # n=6: A is s_1 only
+    (lambda d: d.update(split=4), "a_gens"),
+    (lambda d: d.update(split=1), "split"),
+    (lambda d: d.update(split=5), "split"),
+    (lambda d: d["a_gens"].reverse(), "a_gens"),
+    (lambda d: d["b_gens"].pop(), "b_gens"),
+    (lambda d: d["b_gens"].append(d["a_gens"][0]), "b_gens"),
+    (lambda d: d.update(protocol_id=3), "protocol_id"),
+    # consistent but huge n: the expected indices are never listed
+    (lambda d: d.update(n=10**9, dim=10**9 * (10**9 - 1) // 2, split=5 * 10**8,
+                        a_gens=[]), "a_gens"),
+])
+def test_read_transcript_checks_split_and_generator_indices(mutate, field):
+    run = honest_run(2, "lk", 6, seed=13)  # split 3: A = s_1, s_2; B = s_4, s_5
+    doc = json.loads(bb.write_transcript(run))
+    mutate(doc)
+    with pytest.raises(bb.TranscriptFormatError, match=field):
+        bb.read_transcript(json.dumps(doc))
