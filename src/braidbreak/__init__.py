@@ -8,7 +8,7 @@ from .attack import (
     attack_transcript,
     verify_against_oracle,
 )
-from .bench import BenchRecord, fit_slope, run_bench, slopes_by_protocol
+from .bench import fit_slope, run_bench, slopes_by_protocol
 from .braid import (
     BraidWord,
     CommutingPair,
@@ -57,7 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackReport", "StageReport", "attack_transcript", "verify_against_oracle",
-    "BenchRecord", "fit_slope", "run_bench", "slopes_by_protocol",
+    "fit_slope", "run_bench", "slopes_by_protocol",
     "BraidWord", "CommutingPair", "LabeledGenerator", "Representation",
     "burau_representation", "commuting_subgroups", "default_split",
     "evaluate", "lk_representation", "sample_word",

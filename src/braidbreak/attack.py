@@ -38,7 +38,7 @@ class StageReport:
     build_mul_count: int
     bound_value: int
     intermediate: SquareMatrix | None
-    basis: DecoratedBasis
+    basis: DecoratedBasis | None  # None where only the counts are kept
 
 
 @dataclass
@@ -66,6 +66,11 @@ class AttackReport:
     def bound_value(self) -> int:
         """Sum of the per-stage r^3|U|^2 + r|W|^2 bounds."""
         return sum(s.bound_value for s in self.stages)
+
+    @property
+    def bound_ratio(self) -> float:
+        """mul_count / bound_value, the empirical constant of the bound."""
+        return self.mul_count / self.bound_value
 
     def to_document(self, include_timings: bool = False) -> dict:
         doc = {

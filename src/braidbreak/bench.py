@@ -2,100 +2,38 @@
 
 Counted multiplications are deterministic for a fixed seed, so repeated
 invocations produce identical tables. The empirical constant in the span
-bound shows up as the ratio column (mul_count / bound_value).
+bound shows up as the ratio column (mul_count / bound_value). The document,
+the table and the fits read (seed, AttackReport) pairs.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import math
-from dataclasses import dataclass
 
 from .attack import AttackReport, attack_transcript
 from .protocol import SCHEMA_VERSION, ProtocolParams, derive_trial_seed, run_protocol
 
-
-@dataclass(frozen=True)
-class BenchRecord:
-    n: int
-    dim: int
-    protocol_id: int
-    rep_kind: str
-    seed: int
-    stage_dims: tuple[int, int, int]  # (q, s, r)
-    mul_count: int
-    wall_time: float
-    bound_value: int
-
-    @property
-    def ratio(self) -> float:
-        return self.mul_count / self.bound_value
-
-    def to_document(self, include_timings: bool = False) -> dict:
-        doc = {
-            "n": self.n,
-            "dim": self.dim,
-            "protocol_id": self.protocol_id,
-            "rep_kind": self.rep_kind,
-            "seed": self.seed,
-            "stage_dims": list(self.stage_dims),
-            "mul_count": self.mul_count,
-            "bound_value": self.bound_value,
-            "ratio": self.ratio,
-        }
-        if include_timings:
-            doc["wall_time_ms"] = round(self.wall_time * 1000.0, 3)
-        return doc
+Pairs = list[tuple[int, AttackReport]]
 
 
-def record_from_report(report: AttackReport, seed: int) -> BenchRecord:
-    return BenchRecord(
-        n=report.n,
-        dim=report.dim,
-        protocol_id=report.protocol_id,
-        rep_kind=report.rep_kind,
-        seed=seed,
-        stage_dims=report.stage_dims,
-        mul_count=report.mul_count,
-        wall_time=report.wall_time,
-        bound_value=report.bound_value,
-    )
+def run_bench(base: ProtocolParams, n_list, protocols=(1, 2), trials: int = 1):
+    """Simulate and attack one run per (n, protocol, trial), in that order,
+    each with base's other fields and the seed mixed from base.seed and the
+    trial number. Yields (seed, run, report).
+    """
+    for n, protocol_id, trial in itertools.product(n_list, protocols, range(trials)):
+        seed = derive_trial_seed(base.seed, trial)
+        run = run_protocol(dataclasses.replace(base, protocol_id=protocol_id, n=n, seed=seed))
+        yield seed, run, attack_transcript(run.transcript)
 
 
-def run_bench(
-    n_list,
-    rep_kind: str = "lk",
-    protocols=(1, 2),
-    trials: int = 1,
-    seed: int = 0,
-    p=None,
-    word_len: tuple[int, int] = (5, 15),
-) -> list[BenchRecord]:
-    """One attack per (n, protocol, trial); per-trial seeds mixed from seed."""
-    records = []
-    kwargs = {} if p is None else {"p": p}
-    for n in n_list:
-        for protocol_id in protocols:
-            for trial in range(trials):
-                trial_seed = derive_trial_seed(seed, trial)
-                params = ProtocolParams(
-                    protocol_id=protocol_id,
-                    n=n,
-                    rep_kind=rep_kind,
-                    word_len=word_len,
-                    seed=trial_seed,
-                    **kwargs,
-                )
-                run = run_protocol(params)
-                report = attack_transcript(run.transcript)
-                records.append(record_from_report(report, trial_seed))
-    return records
-
-
-def fit_slope(records: list[BenchRecord]) -> float:
+def fit_slope(pairs: Pairs) -> float:
     """Least-squares slope of log(median mul_count) against log(dim)."""
     by_dim: dict[int, list[int]] = {}
-    for r in records:
+    for _, r in pairs:
         by_dim.setdefault(r.dim, []).append(r.mul_count)
     if len(by_dim) < 2:
         raise ValueError("need at least two distinct dims to fit a slope")
@@ -111,50 +49,64 @@ def fit_slope(records: list[BenchRecord]) -> float:
     return num / den
 
 
-def slopes_by_protocol(records: list[BenchRecord]) -> dict[int, float]:
+def slopes_by_protocol(pairs: Pairs) -> dict[int, float]:
     """Per-protocol growth fit; protocols with a single dim are skipped."""
     out = {}
-    for protocol_id in sorted({r.protocol_id for r in records}):
-        sub = [r for r in records if r.protocol_id == protocol_id]
-        if len({r.dim for r in sub}) >= 2:
+    for protocol_id in sorted({r.protocol_id for _, r in pairs}):
+        sub = [(s, r) for s, r in pairs if r.protocol_id == protocol_id]
+        if len({r.dim for _, r in sub}) >= 2:
             out[protocol_id] = fit_slope(sub)
     return out
 
 
-def median_ratio(records: list[BenchRecord]) -> float:
-    ratios = sorted(r.ratio for r in records)
+def median_ratio(pairs: Pairs) -> float:
+    ratios = sorted(r.bound_ratio for _, r in pairs)
     return ratios[len(ratios) // 2]
 
 
-def bench_document(records: list[BenchRecord], include_timings: bool = False) -> dict:
+def _record(seed: int, r: AttackReport, include_timings: bool) -> dict:
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "records": [r.to_document(include_timings) for r in records],
-        "slopes": {
-            str(pid): slope for pid, slope in slopes_by_protocol(records).items()
-        },
-        "median_ratio": median_ratio(records),
-        "max_ratio": max(r.ratio for r in records),
+        "n": r.n,
+        "dim": r.dim,
+        "protocol_id": r.protocol_id,
+        "rep_kind": r.rep_kind,
+        "seed": seed,
+        "stage_dims": list(r.stage_dims),
+        "mul_count": r.mul_count,
+        "bound_value": r.bound_value,
+        "ratio": r.bound_ratio,
     }
+    if include_timings:
+        doc["wall_time_ms"] = round(r.wall_time * 1000.0, 3)
     return doc
 
 
-def bench_text(records: list[BenchRecord], include_timings: bool = False) -> str:
-    return json.dumps(bench_document(records, include_timings), indent=1) + "\n"
+def bench_document(pairs: Pairs, include_timings: bool = False) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "records": [_record(seed, r, include_timings) for seed, r in pairs],
+        "slopes": {str(pid): slope for pid, slope in slopes_by_protocol(pairs).items()},
+        "median_ratio": median_ratio(pairs),
+        "max_ratio": max(r.bound_ratio for _, r in pairs),
+    }
 
 
-def format_table(records: list[BenchRecord], include_timings: bool = False) -> str:
+def bench_text(pairs: Pairs, include_timings: bool = False) -> str:
+    return json.dumps(bench_document(pairs, include_timings), indent=1) + "\n"
+
+
+def format_table(pairs: Pairs, include_timings: bool = False) -> str:
     """Human-readable benchmark table."""
     head = ["n", "dim", "proto", "rep", "q", "s", "r", "mul_count", "bound", "ratio"]
     if include_timings:
         head.append("ms")
     rows = [head]
-    for r in records:
+    for _, r in pairs:
         q, s, rr = r.stage_dims
         row = [
             str(r.n), str(r.dim), str(r.protocol_id), r.rep_kind,
             str(q), str(s), str(rr), str(r.mul_count), str(r.bound_value),
-            f"{r.ratio:.2e}",
+            f"{r.bound_ratio:.2e}",
         ]
         if include_timings:
             row.append(f"{r.wall_time * 1000:.1f}")
@@ -165,10 +117,10 @@ def format_table(records: list[BenchRecord], include_timings: bool = False) -> s
         lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
         if j == 0:
             lines.append("-" * len(lines[0]))
-    for pid, slope in slopes_by_protocol(records).items():
+    for pid, slope in slopes_by_protocol(pairs).items():
         lines.append(f"protocol {pid}: log-log slope of mul_count vs dim = {slope:.3f}")
     lines.append(
         f"mul_count/bound ratio (empirical constant): median "
-        f"{median_ratio(records):.3e}, max {max(r.ratio for r in records):.3e}"
+        f"{median_ratio(pairs):.3e}, max {max(r.bound_ratio for _, r in pairs):.3e}"
     )
     return "\n".join(lines) + "\n"

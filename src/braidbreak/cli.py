@@ -20,7 +20,6 @@ from .field import DEFAULT_PRIME
 from .protocol import (
     SCHEMA_VERSION,
     ProtocolParams,
-    derive_trial_seed,
     read_transcript,
     run_protocol,
     write_transcript,
@@ -40,15 +39,15 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _params(args, protocol_id=None, seed=None) -> ProtocolParams:
+def _params(args) -> ProtocolParams:
     return ProtocolParams(
-        protocol_id=protocol_id if protocol_id is not None else args.protocol,
+        protocol_id=args.protocol,
         n=args.n,
         rep_kind=args.rep,
         p=args.p,
         split=args.split,
         word_len=(args.len_min, args.len_max),
-        seed=seed if seed is not None else args.seed,
+        seed=args.seed,
     )
 
 
@@ -127,7 +126,9 @@ def cmd_attack(args) -> int:
         if fixture is None:
             print("attack: fixture file has no private section", file=sys.stderr)
             return 1
-        if verify_against_oracle(report, fixture.k):
+        # verify_against_oracle raises on a key of another dimension, which
+        # is a mismatch here, not a usage error
+        if fixture.k.dim == report.dim and verify_against_oracle(report, fixture.k):
             print("MATCH")
         else:
             print("MISMATCH")
@@ -140,11 +141,8 @@ def cmd_demo(args) -> int:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
     matches = 0
     per_trial = []
-    for trial in range(args.trials):
-        seed = derive_trial_seed(args.seed, trial)
-        params = _params(args, seed=seed)
-        run = run_protocol(params)
-        report = attack_transcript(run.transcript)
+    runs = run_bench(_params(args), [args.n], [args.protocol], args.trials)
+    for trial, (seed, run, report) in enumerate(runs):
         ok = verify_against_oracle(report, run)
         matches += ok
         q, s, r = report.stage_dims
@@ -183,18 +181,14 @@ def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     protocols = (1, 2) if args.protocol is None else (args.protocol,)
-    records = run_bench(
-        n_list,
-        rep_kind=args.rep,
-        protocols=protocols,
-        trials=args.trials,
-        seed=args.seed,
-        p=args.p,
-        word_len=(args.len_min, args.len_max),
-    )
-    print(format_table(records, include_timings=args.timings), end="")
+    pairs = []
+    for seed, _, report in run_bench(_params(args), n_list, protocols, args.trials):
+        for stage in report.stages:
+            stage.basis = None  # the table reads counts; an n=10 basis is up to ~45 MB
+        pairs.append((seed, report))
+    print(format_table(pairs, include_timings=args.timings), end="")
     if args.out:
-        _write(args.out, bench_text(records, include_timings=args.timings))
+        _write(args.out, bench_text(pairs, include_timings=args.timings))
     return 0
 
 

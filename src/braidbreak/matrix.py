@@ -185,7 +185,7 @@ class SquareMatrix:
 
     def to_rows(self) -> list[list[str]]:
         """Rows of decimal strings (the serialization form)."""
-        return [[str(int(x)) for x in row] for row in self.a]
+        return [[str(x) for x in row] for row in self.a.tolist()]
 
     def __repr__(self):
         return f"SquareMatrix(dim={self.dim}, p={self.field.p})"
@@ -200,31 +200,43 @@ def row_rank_profile(
     is the first nonzero column of its residual against them. Returns the
     accepted rows and their pivots, in order, and the RREF of x's row space,
     reduced row j holding the identity at the pivots. Above _LEAF rows the
-    top half is profiled, the bottom half reduced against it in one product
-    on the non-pivot columns, its zero rows dropped and the rest profiled;
-    a second product clears the top rows at the new pivots.
+    top half is profiled and the bottom half merged onto it.
     """
-    k, cols = x.shape
+    k = x.shape[0]
     if k <= _LEAF:
         return _profile_rows(field, x)
     half = k // 2
     rows, pivots, top = row_rank_profile(field, x[:half])
+    new, new_pivots, red = _merge(field, top, pivots, x[half:])
+    return rows + [half + i for i in new], pivots + new_pivots, red
+
+
+def _merge(
+    field: PrimeField, red: np.ndarray, pivots: list[int], block: np.ndarray
+) -> tuple[list[int], list[int], np.ndarray]:
+    """The rank profile of block on top of the RREF red with the given pivot
+    columns: block is reduced against red on the other columns in one
+    product, its zero rows dropped and the rest profiled; a second product
+    clears red at the new pivots. Returns the accepted rows of block, their
+    pivots and the RREF of both; red itself is left as it is.
+    """
+    cols = block.shape[1]
     rest = np.delete(np.arange(cols), pivots)
-    low = x[half:, rest]
+    low = block[:, rest]
     if pivots:
-        low = _sub_mod(field, low, gemm_mod(field, x[half:, pivots], top[:, rest]))
+        low = _sub_mod(field, low, gemm_mod(field, block[:, pivots], red[:, rest]))
     live = np.flatnonzero(low.any(axis=1))
-    rows2, pivots2, bottom = row_rank_profile(field, low[live])
-    if not rows2:
-        return rows, pivots, top
-    if rows:
-        upd = gemm_mod(field, top[:, rest[pivots2]], bottom)
-        top[:, rest] = _sub_mod(field, top[:, rest], upd)
-    red = field.zeros((len(rows) + len(rows2), cols))
-    red[: len(rows)] = top
-    red[len(rows) :, rest] = bottom
-    rows += [half + int(live[i]) for i in rows2]
-    return rows, pivots + rest[pivots2].tolist(), red
+    rows, piv, bottom = row_rank_profile(field, low[live])
+    if not rows:
+        return [], [], red
+    new_pivots = rest[piv]
+    out = field.zeros((len(red) + len(rows), cols))
+    out[: len(red)] = red
+    if pivots:
+        upd = gemm_mod(field, red[:, new_pivots], bottom)
+        out[: len(red), rest] = _sub_mod(field, red[:, rest], upd)
+    out[len(red) :, rest] = bottom
+    return live[rows].tolist(), new_pivots.tolist(), out
 
 
 def _profile_rows(field: PrimeField, x: np.ndarray):
@@ -274,7 +286,6 @@ class EchelonState:
         self.pivot_cols: list[int] = []
         self._rows = field.zeros((0, ambient))
         self._orig = field.zeros((0, ambient))
-        self._free = np.arange(ambient)  # the non-pivot columns, ascending
 
     @property
     def rank(self) -> int:
@@ -291,15 +302,6 @@ class EchelonState:
             raise ValueError(f"expected vector of length {self.ambient}")
         return v
 
-    def _residual(self, block: np.ndarray) -> np.ndarray:
-        """block reduced by the rows, on the free columns only (it vanishes
-        on the pivot columns)."""
-        res = block[:, self._free]
-        if self.rank:
-            upd = gemm_mod(self.field, block[:, self.pivot_cols], self._rows[:, self._free])
-            res = _sub_mod(self.field, res, upd)
-        return res
-
     def extend_batch(self, block) -> np.ndarray:
         """Feed candidate rows in order; returns a boolean mask of acceptances.
 
@@ -312,24 +314,12 @@ class EchelonState:
             raise ValueError(f"expected (k, {self.ambient}) block")
         if block.size and (block.min() < 0 or block.max() >= f.p):
             block = block % f.p
-        res = self._residual(block)
-        live = np.flatnonzero(res.any(axis=1))
-        rows, piv, red = row_rank_profile(f, res[live])
+        new, pivots, self._rows = _merge(f, self._rows, self.pivot_cols, block)
         accepted = np.zeros(block.shape[0], dtype=bool)
-        if not rows:
-            return accepted
-        new = live[rows]
         accepted[new] = True
-        free, piv_cols = self._free, self._free[piv]
-        if self.rank:  # clear the existing rows at the new pivots
-            upd = gemm_mod(f, self._rows[:, piv_cols], red)
-            self._rows[:, free] = _sub_mod(f, self._rows[:, free], upd)
-        full = f.zeros((len(rows), self.ambient))
-        full[:, free] = red
-        self._rows = np.concatenate([self._rows, full])
-        self._orig = np.concatenate([self._orig, block[new]])
-        self.pivot_cols += piv_cols.tolist()
-        self._free = np.delete(free, piv)
+        if new:
+            self._orig = np.concatenate([self._orig, block[new]])
+            self.pivot_cols += pivots
         return accepted
 
     def try_extend(self, v) -> bool:
@@ -337,12 +327,12 @@ class EchelonState:
         return bool(self.extend_batch(self._as_vec(v)[None, :])[0])
 
     def in_span(self, v) -> bool:
-        return not self._residual(self._as_vec(v)[None, :]).any()
+        return not _merge(self.field, self._rows, self.pivot_cols, self._as_vec(v)[None, :])[0]
 
     def solve(self, v) -> np.ndarray | None:
         """Coordinates of v in the originally inserted vectors, or None."""
         vec = self._as_vec(v)
-        if self._residual(vec[None, :]).any():
+        if not self.in_span(vec):
             return None
         # v = c @ originals, so originals[:, pivots]^T c = v[pivots]
         piv = self.pivot_cols

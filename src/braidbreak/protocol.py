@@ -99,14 +99,13 @@ PROTOCOLS = {
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Everything a run needs; q and t default to seed-derived draws."""
+    """Everything a run needs; the representation's q and t are drawn from
+    the seed."""
 
     protocol_id: int = 1
     n: int = 6
     rep_kind: str = "lk"
     p: int = DEFAULT_PRIME
-    q: int | None = None
-    t: int | None = None
     split: int | None = None
     word_len: tuple[int, int] = (5, 15)
     seed: int = 0
@@ -183,8 +182,8 @@ def run_protocol(params: ProtocolParams) -> HonestRun:
     n, word_len = params.n, params.word_len
     rng = random.Random(params.seed)
     # draw order is part of the determinism contract: q, t, h, the factors
-    q = params.q if params.q is not None else rng.randrange(2, field.p)
-    t = params.t if params.t is not None else rng.randrange(1, field.p)
+    q = rng.randrange(2, field.p)
+    t = rng.randrange(1, field.p)
     if params.rep_kind == "lk":
         rep = lk_representation(field, n, q, t)
     else:
@@ -216,8 +215,8 @@ def run_protocol(params: ProtocolParams) -> HonestRun:
         n=n,
         rep_kind=params.rep_kind,
         field=field,
-        q=q % field.p,
-        t=t % field.p,
+        q=q,
+        t=t,
         split=split,
         dim=rep.dim,
         a_gens=pair.a_gens,

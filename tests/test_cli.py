@@ -69,6 +69,17 @@ def test_attack_dump_bases(tmp_path):
     assert "l_word" in entry and "r_word" in entry and "value" in entry
 
 
+def test_attack_fixture_of_other_dimension_mismatch(tmp_path, capsys):
+    t5, t6, f6 = tmp_path / "t5.json", tmp_path / "t6.json", tmp_path / "f6.json"
+    run_cli(["simulate", "--n", "5", "--seed", "3", "--out", str(t5)])
+    run_cli(["simulate", "--n", "6", "--seed", "3", "--out", str(t6),
+             "--fixture", str(f6)])
+    capsys.readouterr()
+    assert run_cli(["attack", str(t5), "--fixture", str(f6)]) == 1
+    out = capsys.readouterr()
+    assert "MISMATCH" in out.out and "usage error" not in out.err
+
+
 def test_attack_truncated_file_fails(tmp_path, capsys):
     t = tmp_path / "t.json"
     run_cli(["simulate", "--n", "4", "--seed", "6", "--out", str(t)])
@@ -150,6 +161,21 @@ def test_bench_deterministic_counts(tmp_path):
 def test_bench_bad_n_list(capsys):
     assert run_cli(["bench", "--n-list", "four"]) == 2
     assert run_cli(["bench", "--n-list", ""]) == 2
+
+
+def test_bench_honours_split(tmp_path):
+    b, d = tmp_path / "b.json", tmp_path / "d.json"
+    flags = ["--protocol", "1", "--split", "4", "--trials", "2", "--seed", "4"]
+    assert run_cli(["bench", "--n-list", "6", *flags, "--out", str(b)]) == 0
+    assert run_cli(["demo", "--n", "6", *flags, "--out", str(d)]) == 0
+    bench = [r["stage_dims"] for r in json.loads(b.read_text())["records"]]
+    demo = [t["stage_dims"] for t in json.loads(d.read_text())["per_trial"]]
+    assert bench == demo == [[9, 9, 9], [9, 9, 9]]  # the default split 3 gives 76, 14
+
+
+def test_bench_bad_split_usage_error(capsys):
+    assert run_cli(["bench", "--split", "99", "--n-list", "6"]) == 2
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_invalid_config_usage_error(tmp_path, capsys):
