@@ -1,10 +1,11 @@
 """The linear decomposition attack, stage by stage.
 
 From the public transcript alone: build a decorated basis of the subspace
-spanned by side-multiplied copies of a public core, express another public
-message in it, then re-evaluate the expansion with the core swapped for a
-different message. Outer private shields commute past the basis words and
-cancel. Three such moves recover the shared key exactly.
+spanned by P * core * Q, P and Q in the algebras the side subgroups' words
+span, by sampling random P and Q until the span saturates; express another
+public message in it, then re-evaluate the expansion with the core swapped
+for a different message. Outer private shields commute past every P and Q
+and cancel. Three such moves recover the shared key exactly.
 """
 
 import braidbreak as bb
@@ -22,8 +23,10 @@ sides = bb.SideSpec.two_sided(transcript.b_gens)
 
 print("\nstage 1: span of B * w * B")
 basis_w = bb.build_decorated_basis(transcript.w, sides)
+print(f"  the words of B span an algebra of dimension {basis_w.left.dim}, "
+      f"closed once and shared by all three stages")
 print(f"  basis dimension q = {basis_w.dim} "
-      f"(closed after {basis_w.candidates_checked} candidates)")
+      f"(saturated after {basis_w.candidates_checked} sampled rows, core included)")
 gamma = bb.express(basis_w, transcript.x)
 m1 = bb.substitute(basis_w, gamma, transcript.u)
 mm = run.private_state.matrices

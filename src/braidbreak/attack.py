@@ -2,7 +2,9 @@
 
 Three stages, each one basis build + express + substitute. The left and
 right multipliers come from the subgroups protocol.PROTOCOLS names for the
-transcript's protocol: B and B for protocol 1, B and A for protocol 2.
+transcript's protocol: B and B for protocol 1, B and A for protocol 2. The
+algebras those subgroups span are closed once, by the first build, and kept
+on the attack's SideSpec for the other two stages.
 
     stage 1: basis over core w, express x, swap the core for u   -> M1
     stage 2: basis over core h, express y, swap the core for M1  -> M2
@@ -126,7 +128,9 @@ def _stage(
     try:
         coeffs = express(basis, getattr(t, target_name))
     except NotInSpanError as e:
-        raise MalformedTranscriptError(stage_no, core_name, f"{where}: {e}") from e
+        raise MalformedTranscriptError(
+            stage_no, core_name, f"{where}: {e}", rank=basis.dim
+        ) from e
     out = substitute(basis, coeffs, replacement)
     report = StageReport(
         stage=stage_no,

@@ -22,11 +22,19 @@ Pairs = list[tuple[int, AttackReport]]
 def run_bench(base: ProtocolParams, n_list, protocols=(1, 2), trials: int = 1):
     """Simulate and attack one run per (n, protocol, trial), in that order,
     each with base's other fields and the seed mixed from base.seed and the
-    trial number. Yields (seed, run, report).
+    trial number. Yields (seed, run, report). Every (n, protocol) is
+    validated before the first trial, so a bad one raises ValueError before
+    any work is done.
     """
-    for n, protocol_id, trial in itertools.product(n_list, protocols, range(trials)):
+    configs = [
+        dataclasses.replace(base, protocol_id=protocol_id, n=n)
+        for n, protocol_id in itertools.product(n_list, protocols)
+    ]
+    for params in configs:
+        params.validate()
+    for params, trial in itertools.product(configs, range(trials)):
         seed = derive_trial_seed(base.seed, trial)
-        run = run_protocol(dataclasses.replace(base, protocol_id=protocol_id, n=n, seed=seed))
+        run = run_protocol(dataclasses.replace(params, seed=seed))
         yield seed, run, attack_transcript(run.transcript)
 
 

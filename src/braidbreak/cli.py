@@ -80,6 +80,8 @@ def cmd_simulate(args) -> int:
 
 
 def _bases_document(report: AttackReport) -> dict:
+    """The words of both side algebras, listed once, and every stage's
+    entries as coefficients over them (rho left, sigma right) and value."""
     stages = []
     for s, (core_name, _) in zip(report.stages, STAGES):
         stages.append({
@@ -88,16 +90,19 @@ def _bases_document(report: AttackReport) -> dict:
             "basis_dim": s.basis_dim,
             "entries": [
                 {
-                    "l_word": list(e.l_word),
-                    "r_word": list(e.r_word),
+                    "rho": [str(x) for x in e.rho.tolist()],
+                    "sigma": [str(x) for x in e.sigma.tolist()],
                     "value": e.value.to_rows(),
                 }
                 for e in s.basis.entries
             ],
         })
+    basis = report.stages[0].basis
     return {
         "schema_version": SCHEMA_VERSION,
         "protocol_id": report.protocol_id,
+        "left_words": [list(w) for w in basis.left.words],
+        "right_words": [list(w) for w in basis.right.words],
         "stages": stages,
     }
 

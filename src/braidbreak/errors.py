@@ -30,12 +30,14 @@ class ProtocolInternalError(BraidbreakError):
 class MalformedTranscriptError(BraidbreakError):
     """A transcript is inconsistent with the protocol it claims: an attack
     stage met a zero core or failed to express a public message in its
-    subspace basis. core names the stage's core, "w", "h" or "z"."""
+    subspace basis. core names the stage's core, "w", "h" or "z"; rank is
+    the dimension of that basis, None where none was built."""
 
-    def __init__(self, stage: int, core: str, message: str):
+    def __init__(self, stage: int, core: str, message: str, rank: int | None = None):
         super().__init__(message)
         self.stage = stage
         self.core = core
+        self.rank = rank
 
 
 class TranscriptFormatError(BraidbreakError):

@@ -19,7 +19,7 @@ from .braid import (
     sample_word,
 )
 from .field import PrimeField
-from .matrix import gemm_mod
+from .matrix import SquareMatrix, gemm_mod
 from .protocol import ProtocolParams, run_protocol
 from .span import SideSpec, build_decorated_basis, express, substitute
 
@@ -77,14 +77,22 @@ def suite_span_fixpoint() -> None:
     core = evaluate(rep, sample_word(rng, 4, range(1, 4), 4, 10))
     sides = SideSpec.two_sided(pair.b_gens)
     basis = build_decorated_basis(core, sides)
-    left, right = dict(sides.left), dict(sides.right)
+
+    def combine(coeffs, algebra, side):
+        # sum_i coeffs[i] * word_i, each word evaluated factor by factor
+        mats = dict(side)
+        total = f.zeros((core.dim, core.dim))
+        for c, word in zip(coeffs, algebra.words):
+            value = SquareMatrix.identity(f, core.dim)
+            for label in word:
+                value = value @ mats[label]
+            total = (total + int(c) * value.a) % f.p
+        return SquareMatrix(f, total)
+
     for e in basis.entries:
-        value = core
-        for label in reversed(e.l_word):
-            value = left[label] @ value
-        for label in e.r_word:
-            value = value @ right[label]
-        assert value == e.value
+        p_mat = combine(e.rho, basis.left, sides.left)
+        q_mat = combine(e.sigma, basis.right, sides.right)
+        assert p_mat @ core @ q_mat == e.value
         for _, g in sides.left:
             assert basis.echelon.in_span((g @ e.value).a.reshape(-1))
         for _, g in sides.right:

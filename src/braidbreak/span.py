@@ -1,16 +1,22 @@
-"""Provenance-decorated bases of subspaces spanned by L * core * R products.
+"""Provenance-decorated bases of the sandwich span Sp(A_L * core * A_R).
 
-Given a core matrix and two lists of side multipliers (each closed under
-inverses), build_decorated_basis closes the flattened span of
-{L * core * R : L a word in the left side, R a word in the right side} and
-keeps, for every basis vector, the L and R words that produced it, and for
-every breadth-first level the (parent, generator) steps it took. That
-provenance is what makes the substitution step possible: a target expressed
-in the basis is re-evaluated by replaying the steps from another matrix.
+A_L and A_R are the unital algebras spanned by the words of the left and of
+the right side multipliers (each side closed under inverses). Each algebra
+is closed once, breadth first, and kept on its SideSpec, so that the stages
+of an attack share it. build_decorated_basis then samples the span: it
+draws random P in A_L and Q in A_R and keeps every P * core * Q independent
+of the rows before it, until the span saturates (Ben-Zvi, Kalka and Tsaban,
+"Cryptanalysis via algebraic spans", CRYPTO 2018). Every basis entry keeps
+P and Q as coefficient vectors over the algebras' words. That provenance is
+what makes the substitution step possible: a target expressed in the basis
+is re-evaluated with the core swapped for another matrix.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +27,24 @@ from .matrix import EchelonState, SquareMatrix, gemm_mod
 
 SideEntry = tuple[int, SquareMatrix]  # (signed Artin label, multiplier)
 
+# Blocks of sampled rows start at one row and double up to this many.
+_MAX_BLOCK = 64
+
+# A stop before saturation has probability at most 2^-_FALSE_STOP_BITS.
+_FALSE_STOP_BITS = 64
+
+
+@dataclass(frozen=True)
+class Algebra:
+    """Basis of the span of one side's words: words[i] evaluates to mats[i]."""
+
+    words: tuple[tuple[int, ...], ...]  # labels, leftmost factor first
+    mats: np.ndarray  # (dim, m * m), the flattened word products
+
+    @property
+    def dim(self) -> int:
+        return len(self.words)
+
 
 @dataclass(frozen=True)
 class SideSpec:
@@ -28,6 +52,10 @@ class SideSpec:
 
     left: tuple[SideEntry, ...]
     right: tuple[SideEntry, ...]
+    # (p, m) -> (A_L, A_R), filled on first use
+    _algebras: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def expand(gens) -> tuple[SideEntry, ...]:
@@ -51,6 +79,16 @@ class SideSpec:
     def u_size(self) -> int:
         return len(self.left) + len(self.right)
 
+    def algebras(self, field: PrimeField, m: int) -> tuple[Algebra, Algebra]:
+        """(A_L, A_R) over m x m matrices, closed on the first call and kept;
+        equal sides are closed once."""
+        key = (field.p, m)
+        if key not in self._algebras:
+            left = _close(field, m, self.left)
+            right = left if self.right == self.left else _close(field, m, self.right)
+            self._algebras[key] = (left, right)
+        return self._algebras[key]
+
     def validate(self) -> None:
         """Check listed-inverse closure and invertibility on both sides.
 
@@ -70,44 +108,71 @@ class SideSpec:
                     )
 
 
-@dataclass(frozen=True)
-class BasisEntry:
-    """One basis vector value = L * core * R, with L and R kept as words."""
+def _close(field: PrimeField, m: int, side: tuple[SideEntry, ...]) -> Algebra:
+    """The identity closed under left multiplication by the multipliers of
+    side, breadth first, dependent words dropped: a basis of the unital
+    algebra the side's words span. The inverses (negative labels) are left
+    out: an invertible matrix's inverse is a polynomial in it, so they add
+    nothing. One batched product per multiplier."""
+    side = tuple(e for e in side if e[0] > 0)
+    ident = field.identity_array(m)
+    state = EchelonState(field, m * m)
+    state.extend_batch(ident.reshape(1, -1))
+    words, frontier, stacks = [()], [()], [ident[None]]
+    while frontier and side:
+        f = len(frontier)
+        block = np.concatenate([gemm_mod(field, mat.a, stacks[-1]) for _, mat in side])
+        kept = np.flatnonzero(state.extend_batch(block.reshape(len(block), -1)))
+        # row k of block is side[k // f] times frontier[k % f]
+        frontier = [(side[k // f][0],) + frontier[k % f] for k in kept]
+        words += frontier
+        stacks.append(block[kept])
+    return Algebra(tuple(words), np.concatenate(stacks).reshape(len(words), -1))
 
-    l_word: tuple[int, ...]  # labels, leftmost factor first
-    r_word: tuple[int, ...]
+
+@dataclass(frozen=True, eq=False)
+class BasisEntry:
+    """One basis vector value = P * core * Q, with P = rho . A_L and
+    Q = sigma . A_R kept as coefficient vectors over the algebras' words."""
+
+    rho: np.ndarray
+    sigma: np.ndarray
     value: SquareMatrix
 
 
 class DecoratedBasis:
-    """Closed basis of Sp(core^<U>) with per-entry provenance.
+    """Saturated basis of Sp(A_L * core * A_R) with per-entry provenance.
 
-    levels[j] holds the (parent, generator) index pairs of the entries
-    accepted at breadth-first level j + 1, parents counted within level j;
-    replaying them from another matrix evaluates every entry's L * . * R.
-    Construction is sequential and deterministic; a completed basis is
-    immutable and may be shared. Independent bases build in parallel fine.
+    Row i of rho, sigma and values holds entries[i]. Construction
+    is sequential and deterministic; a completed basis is immutable and may
+    be shared. Independent bases build in parallel fine.
     """
 
     def __init__(
         self,
-        field: PrimeField,
         core: SquareMatrix,
         sides: SideSpec,
-        entries: list[BasisEntry],
-        levels: list[tuple[np.ndarray, np.ndarray]],
+        rho: np.ndarray,
+        sigma: np.ndarray,
+        values: np.ndarray,
         echelon: EchelonState,
         build_mul_count: int,
         candidates_checked: int,
     ):
-        self.field = field
+        self.field = core.field
         self.core = core
         self.sides = sides
-        self.entries = entries
-        self.levels = levels
+        self.left, self.right = sides.algebras(core.field, core.dim)
+        self.rho = rho
+        self.sigma = sigma
         self.echelon = echelon
         self.build_mul_count = build_mul_count
-        self.candidates_checked = candidates_checked
+        self.candidates_checked = candidates_checked  # rows drawn, core included
+        m = core.dim
+        self.entries = [
+            BasisEntry(r, s, SquareMatrix(self.field, v.reshape(m, m)))
+            for r, s, v in zip(rho, sigma, values)
+        ]
 
     @property
     def dim(self) -> int:
@@ -133,37 +198,43 @@ class DecoratedBasis:
         )
 
 
-def _generators(sides: SideSpec) -> list[tuple[str, int, SquareMatrix]]:
-    """(side, label, multiplier): left multipliers first, in listed order."""
-    return [("L", label, mat) for label, mat in sides.left] + [
-        ("R", label, mat) for label, mat in sides.right
-    ]
+def _confirm_rows(p: int) -> int:
+    """Rows that must add nothing in a row before the span counts as
+    saturated. While it is not, a sampled P * core * Q (degree 2 in the
+    draws) lies in the current span with probability at most 2/p
+    (Schwartz-Zippel), so a false stop has probability at most
+    2^-_FALSE_STOP_BITS: 3 rows at the default prime, 12 at p=101."""
+    return math.ceil(_FALSE_STOP_BITS / math.log2(p / 2))
 
 
-def _grow(field: PrimeField, gens, stack: np.ndarray, parent, gen) -> np.ndarray:
-    """Children of a (f, m, m) stack: child i is stack[parent[i]] multiplied
-    by gens[gen[i]] on its side. One batched product per generator."""
-    m = stack.shape[-1]
-    out = field.zeros((len(parent), m, m))
-    for g, (side, _label, mat) in enumerate(gens):
-        idx = np.flatnonzero(gen == g)
-        if not len(idx):
-            continue
-        parents = stack[parent[idx]]
-        if side == "L":
-            out[idx] = gemm_mod(field, mat.a[None, :, :], parents)
-        else:
-            out[idx] = gemm_mod(field, parents, mat.a[None, :, :])
-    return out
+def _draw(rng: random.Random, field: PrimeField, shape) -> np.ndarray:
+    """Random residues: integers at least 64 bits wider than p reduced mod p,
+    so uniform to within 2^-64. On the fast path p < 2^32, so two 64-bit
+    words reduce in unsigned 64-bit arithmetic."""
+    k = field.p.bit_length() // 64 + 2  # 64-bit words a residue
+    words = np.frombuffer(rng.randbytes(8 * k * math.prod(shape)), dtype="<u8")
+    words = words.reshape(k, *shape)
+    if field.dtype is not object:
+        p = np.uint64(field.p)
+        hi, lo = words
+        return ((hi % p * np.uint64((1 << 64) % field.p) + lo % p) % p).astype(np.int64)
+    x = 0
+    for w in words:
+        x = (x << 64) + w.astype(object)
+    return x % field.p
 
 
 def build_decorated_basis(core: SquareMatrix, sides: SideSpec) -> DecoratedBasis:
-    """Close the span of the side-multiplied core, breadth first.
+    """Sample the span of A_L * core * A_R until it saturates.
 
-    Children of a kept entry are generated left multipliers first, then
-    right multipliers, in the listed order; dependent candidates are dropped
-    immediately. On return, multiplying any entry by any single side
-    generator lands inside the built span (the fixpoint property).
+    Row 0 is the core itself (P = Q = I). Then blocks of random P * core * Q,
+    three products a block, are fed to the echelon state, which keeps the
+    rows independent of those before them. Blocks grow from one row to
+    _MAX_BLOCK, and never past the rows that could still reach full rank; a
+    block that ends in rows it did not keep has probably saturated, so the
+    next is only as long as confirmation needs.
+    The build stops when the rank reaches dim A_L * dim A_R (or m^2), which
+    proves saturation, or when the last _confirm_rows(p) rows added nothing.
     """
     field = core.field
     m = core.dim
@@ -171,45 +242,43 @@ def build_decorated_basis(core: SquareMatrix, sides: SideSpec) -> DecoratedBasis
         raise ValueError("core matrix must be nonzero")
 
     mul0 = field.ops.mul_count
+    left, right = sides.algebras(field, m)
+    full = min(left.dim * right.dim, m * m)
+    need = _confirm_rows(field.p)
+    # seeded from p and the core's residues (random.Random hashes a str
+    # seed with SHA-512), so every output is a function of the inputs
+    rng = random.Random(f"{field.p}:{core.a.reshape(-1).tolist()}")
     state = EchelonState(field, m * m)
     state.try_extend(core.a.reshape(-1))
-    frontier = [BasisEntry((), (), core)]
-    entries = list(frontier)
-    stack = core.a[None, :, :]
-    levels: list[tuple[np.ndarray, np.ndarray]] = []
-    candidates = 1
-    gens = _generators(sides)
-    s = len(gens)
-
-    while frontier and s:
-        f = len(frontier)
-        parent, gen = np.divmod(np.arange(f * s), s)  # row k = parent * s + gen
-        block = _grow(field, gens, stack, parent, gen).reshape(f * s, m * m)
-        candidates += f * s
+    rho, sigma = [field.zeros((1, left.dim))], [field.zeros((1, right.dim))]
+    rho[0][0, 0] = sigma[0][0, 0] = 1  # word 0 of each algebra is the identity
+    values = [core.a.reshape(1, -1)]
+    # core * B_j for every word B_j of A_R, so that core * Q = sigma . core_right
+    core_right = gemm_mod(field, core.a, right.mats.reshape(-1, m, m)).reshape(right.dim, -1)
+    drawn, run, size = 1, 0, 1
+    while state.rank < full and run < need:
+        r_blk = _draw(rng, field, (size, left.dim))
+        s_blk = _draw(rng, field, (size, right.dim))
+        p_blk = gemm_mod(field, r_blk, left.mats).reshape(size, m, m)
+        cq_blk = gemm_mod(field, s_blk, core_right).reshape(size, m, m)
+        block = gemm_mod(field, p_blk, cq_blk).reshape(size, -1)
         kept = np.flatnonzero(state.extend_batch(block))
-        levels.append((parent[kept], gen[kept]))
-        stack = block[kept].reshape(-1, m, m)
-        children = []
-        for pa, g, value in zip(parent[kept], gen[kept], stack):
-            e = frontier[pa]
-            side, label, _mat = gens[g]
-            if side == "L":
-                words = ((label,) + e.l_word, e.r_word)
-            else:
-                words = (e.l_word, e.r_word + (label,))
-            children.append(BasisEntry(*words, SquareMatrix(field, value)))
-        entries += children
-        frontier = children
+        rho.append(r_blk[kept])
+        sigma.append(s_blk[kept])
+        values.append(block[kept])
+        drawn += size
+        run = size - 1 - int(kept[-1]) if len(kept) else run + size
+        size = need - run if run else min(2 * size, _MAX_BLOCK, full - state.rank)
 
     return DecoratedBasis(
-        field,
         core,
         sides,
-        entries,
-        levels,
+        np.concatenate(rho),
+        np.concatenate(sigma),
+        np.concatenate(values),
         state,
         field.ops.mul_count - mul0,
-        candidates,
+        drawn,
     )
 
 
@@ -223,32 +292,34 @@ def express(basis: DecoratedBasis, target: SquareMatrix) -> np.ndarray:
     basis.field.check_same(target.field)
     coeffs = basis.echelon.solve(target.a.reshape(-1))
     if coeffs is None:
-        raise NotInSpanError(
-            f"target not in the {basis.dim}-dimensional decorated span"
-        )
+        raise NotInSpanError(f"target not in the {basis.dim}-dimensional span")
     return coeffs
 
 
 def substitute(
     basis: DecoratedBasis, coeffs: np.ndarray, replacement: SquareMatrix
 ) -> SquareMatrix:
-    """Evaluate sum_i coeffs[i] * L_i * replacement * R_i.
+    """Evaluate sum_k coeffs[k] * P_k * replacement * Q_k.
 
-    The entries' products are regrown from replacement level by level, as
-    the build grew them from the core. With coeffs = express(basis, target)
-    and replacement = P * core * Q where P commutes with every left word and
-    Q with every right word, the result is exactly P * target * Q;
-    replacement = core returns target.
+    Over the algebras' words A_i and B_j that sum is
+    sum_i A_i * replacement * (sum_j M_ij B_j) with M = rho^T diag(coeffs)
+    sigma, which costs products of dim A_L matrices rather than of dim
+    basis ones. With coeffs = express(basis, target) and replacement =
+    P * core * Q where P commutes with the left algebra and Q with the right
+    one, the result is exactly P * target * Q; replacement = core returns
+    target.
     """
     field = basis.field
     field.check_same(replacement.field)
-    coeffs = np.asarray(coeffs)
+    coeffs = field.asarray(coeffs)
     if coeffs.shape != (basis.dim,):
         raise ValueError(f"expected {basis.dim} coefficients, got {coeffs.shape}")
-    gens = _generators(basis.sides)
-    stacks = [replacement.a[None, :, :]]
-    for parent, gen in basis.levels:
-        stacks.append(_grow(field, gens, stacks[-1], parent, gen))
-    values = np.concatenate(stacks).reshape(basis.dim, -1)
-    total = gemm_mod(field, field.asarray(coeffs)[None, :], values)
-    return SquareMatrix(field, total.reshape(basis.matrix_dim, -1))
+    m, d = basis.matrix_dim, basis.left.dim
+    field.ops.mul_count += basis.sigma.size
+    scaled = np.remainder(coeffs[:, None] * basis.sigma, field.p)
+    weights = gemm_mod(field, basis.rho.T, scaled)  # M, dim A_L x dim A_R
+    right = gemm_mod(field, weights, basis.right.mats).reshape(d, m, m)
+    tail = gemm_mod(field, replacement.a, right)  # replacement * Q'_i
+    heads = basis.left.mats.reshape(d, m, m).transpose(1, 0, 2).reshape(m, d * m)
+    total = gemm_mod(field, heads, tail.reshape(d * m, m))
+    return SquareMatrix(field, total)

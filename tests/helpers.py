@@ -3,6 +3,8 @@
 import functools
 import random
 
+import numpy as np
+
 import braidbreak as bb
 
 DEFAULT_SEED = 1234
@@ -72,16 +74,31 @@ def plain_row_profile(vectors, p: int) -> list[tuple[int, int]]:
     return profile
 
 
-def word_product(sides: bb.SideSpec, core: bb.SquareMatrix,
-                 entry: bb.BasisEntry) -> bb.SquareMatrix:
-    """prod left[l_word] * core * prod right[r_word], one factor at a time."""
-    left, right = dict(sides.left), dict(sides.right)
-    out = core
-    for label in reversed(entry.l_word):
-        out = left[label] @ out
-    for label in entry.r_word:
-        out = out @ right[label]
+def word_product(side, word, f: bb.PrimeField, m: int) -> bb.SquareMatrix:
+    """prod side[word], leftmost factor first, one factor at a time."""
+    mats = dict(side)
+    out = bb.SquareMatrix.identity(f, m)
+    for label in word:
+        out = out @ mats[label]
     return out
+
+
+def algebra_element(side, words, coeffs, f: bb.PrimeField, m: int) -> bb.SquareMatrix:
+    """sum_i coeffs[i] * word_product(side, words[i]), on python ints."""
+    total = np.zeros((m, m), dtype=object)
+    for c, word in zip(coeffs, words):
+        total = (total + int(c) * word_product(side, word, f, m).a.astype(object)) % f.p
+    return bb.SquareMatrix.from_rows(f, total.tolist())
+
+
+def entry_product(basis: bb.DecoratedBasis, entry: bb.BasisEntry,
+                  core: bb.SquareMatrix) -> bb.SquareMatrix:
+    """P * core * Q with P = entry.rho . A_L and Q = entry.sigma . A_R, the
+    algebras' words evaluated from the side multipliers."""
+    f, m, sides = basis.field, basis.matrix_dim, basis.sides
+    p_mat = algebra_element(sides.left, basis.left.words, entry.rho, f, m)
+    q_mat = algebra_element(sides.right, basis.right.words, entry.sigma, f, m)
+    return p_mat @ core @ q_mat
 
 
 def assert_span_complexity(basis: bb.DecoratedBasis) -> None:

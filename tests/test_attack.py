@@ -130,7 +130,9 @@ def test_inconsistent_message_raises_stage_labeled_error():
     with pytest.raises(bb.MalformedTranscriptError) as exc:
         bb.attack_transcript(corrupted)
     assert exc.value.stage == 1 and exc.value.core == "w"
-    assert "stage 1, core w: target not in" in str(exc.value)
+    rank = bb.build_decorated_basis(t.w, bb.SideSpec.two_sided(t.b_gens)).dim
+    assert exc.value.rank == rank
+    assert f"stage 1, core w: target not in the {rank}-dimensional span" in str(exc.value)
 
 
 @pytest.mark.parametrize("stage,core", [(1, "w"), (2, "h"), (3, "z")])
@@ -142,7 +144,7 @@ def test_zero_core_raises_stage_labeled_error(stage, core):
     with pytest.raises(bb.MalformedTranscriptError,
                        match=f"stage {stage}, core {core}: zero matrix") as exc:
         bb.attack_transcript(zeroed)
-    assert (exc.value.stage, exc.value.core) == (stage, core)
+    assert (exc.value.stage, exc.value.core, exc.value.rank) == (stage, core, None)
 
 
 def test_report_document_shape_and_determinism():
@@ -222,10 +224,10 @@ def test_wrong_listed_inverse_raises_before_stage_1(protocol_id, side):
 # CHANGES.md, with the old and the new values.
 PINNED_COUNTS = [
     # (protocol, rep, stage dims, (mul, add, inv)) at n=5, seed 31
-    (1, "lk", (40, 40, 40), (3583673, 3460703, 240)),
-    (1, "burau", (9, 9, 9), (68570, 61421, 54)),
-    (2, "lk", (31, 31, 31), (1917677, 1840678, 186)),
-    (2, "burau", (8, 8, 8), (44676, 39570, 48)),
+    (1, "lk", (40, 40, 40), (1724792, 1634068, 254)),
+    (1, "burau", (9, 9, 9), (40596, 34386, 59)),
+    (2, "lk", (31, 31, 31), (831623, 775293, 203)),
+    (2, "burau", (8, 8, 8), (26454, 21782, 55)),
 ]
 
 

@@ -4,8 +4,12 @@ import json
 
 import pytest
 
+import braidbreak as bb
+import braidbreak.bench
 from braidbreak.cli import main
 from braidbreak.selftest import run_selftest
+
+from helpers import algebra_element
 
 
 def run_cli(argv):
@@ -65,8 +69,23 @@ def test_attack_dump_bases(tmp_path):
     assert run_cli(["attack", str(t), "--out", str(r), "--dump-bases"]) == 0
     dump = json.loads((tmp_path / "r.bases.json").read_text())
     assert [s["core"] for s in dump["stages"]] == ["w", "h", "z"]
-    entry = dump["stages"][0]["entries"][1]
-    assert "l_word" in entry and "r_word" in entry and "value" in entry
+    # each algebra's words are listed once, the identity first
+    left = [tuple(w) for w in dump["left_words"]]
+    right = [tuple(w) for w in dump["right_words"]]
+    assert left[0] == right[0] == () and len(set(left)) == len(left)
+    # every entry value is (rho . A_L) * core * (sigma . A_R), evaluated
+    # from the transcript's protocol-1 sides (B on both)
+    transcript, _ = bb.read_transcript(t.read_text())
+    f, m = transcript.field, transcript.dim
+    sides = bb.SideSpec.two_sided(transcript.b_gens)
+    for stage in dump["stages"]:
+        core = getattr(transcript, stage["core"])
+        assert len(stage["entries"]) == stage["basis_dim"]
+        for entry in stage["entries"][:3]:
+            assert set(entry) == {"rho", "sigma", "value"}
+            p_mat = algebra_element(sides.left, left, entry["rho"], f, m)
+            q_mat = algebra_element(sides.right, right, entry["sigma"], f, m)
+            assert (p_mat @ core @ q_mat).to_rows() == entry["value"]
 
 
 def test_attack_fixture_of_other_dimension_mismatch(tmp_path, capsys):
@@ -171,6 +190,24 @@ def test_bench_honours_split(tmp_path):
     bench = [r["stage_dims"] for r in json.loads(b.read_text())["records"]]
     demo = [t["stage_dims"] for t in json.loads(d.read_text())["per_trial"]]
     assert bench == demo == [[9, 9, 9], [9, 9, 9]]  # the default split 3 gives 76, 14
+
+
+def test_bench_validates_every_run_before_the_first(monkeypatch, capsys):
+    # n=6 takes split 3, n=4 does not: nothing may be simulated first
+    simulated = []
+    real = braidbreak.bench.run_protocol
+    monkeypatch.setattr(braidbreak.bench, "run_protocol",
+                        lambda params: simulated.append(params) or real(params))
+    assert run_cli(["bench", "--protocol", "2", "--n-list", "6,4",
+                    "--split", "3"]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert simulated == []
+
+
+def test_demo_zero_trials_still_validates(capsys):
+    assert run_cli(["demo", "--n", "3", "--trials", "0"]) == 2
+    out = capsys.readouterr()
+    assert "usage error" in out.err and "MATCH" not in out.out
 
 
 def test_bench_bad_split_usage_error(capsys):

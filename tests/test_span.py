@@ -9,6 +9,7 @@ import braidbreak as bb
 
 from helpers import (
     assert_span_complexity,
+    entry_product,
     field,
     honest_run,
     plain_rref_rank,
@@ -27,10 +28,12 @@ def test_empty_sides_single_entry():
     core = bb.SquareMatrix.from_rows(f, [[4, 1], [0, 3]])
     sides = bb.SideSpec((), ())
     basis = bb.build_decorated_basis(core, sides)
-    assert basis.dim == 1 and basis.levels == []
+    # dim A_L * dim A_R == 1 proves saturation: the core is the only row drawn
+    assert basis.dim == 1 and basis.candidates_checked == 1
+    assert basis.left.words == basis.right.words == ((),)
     e = basis.entries[0]
-    assert e.value == core == word_product(sides, core, e)
-    assert e.l_word == () and e.r_word == ()
+    assert e.value == core == entry_product(basis, e, core)
+    assert list(e.rho) == list(e.sigma) == [1]
     assert_span_complexity(basis)
 
 
@@ -128,16 +131,24 @@ def test_provenance_integrity_and_words():
     basis = bb.build_decorated_basis(core, sides)
     assert basis.core == core
     for e in basis.entries:
-        assert word_product(sides, core, e) == e.value
-    # one level step per entry besides the core, and no word twice
-    assert sum(len(parent) for parent, _ in basis.levels) == basis.dim - 1
-    words = [(e.l_word, e.r_word) for e in basis.entries]
-    assert len(set(words)) == basis.dim
+        assert entry_product(basis, e, core) == e.value
+    # each algebra: the identity first, no word twice, the words' products
+    # are its rows, independent, and closed under every side multiplier
+    f, m = r.field, r.dim
+    for side, alg in ((sides.left, basis.left), (sides.right, basis.right)):
+        assert alg.words[0] == () and len(set(alg.words)) == alg.dim
+        flat = [word_product(side, w, f, m).a.reshape(-1).tolist() for w in alg.words]
+        assert flat == alg.mats.tolist()
+        assert plain_rref_rank(flat, f.p) == alg.dim
+        products = [(g @ bb.SquareMatrix.from_rows(f, np.reshape(v, (m, m)).tolist()))
+                    .a.reshape(-1).tolist() for _, g in side for v in flat]
+        assert plain_rref_rank(flat + products, f.p) == alg.dim
 
 
 def test_substitute_replays_every_word():
-    # substitute with the i-th unit vector is L_i * repl * R_i, the words
-    # evaluated factor by factor, for every entry i and any replacement
+    # substitute with the i-th unit vector is P_i * repl * Q_i, P_i and Q_i
+    # summed from the words evaluated factor by factor, for every entry i
+    # and any replacement
     rng = random.Random(30)
     for kind, n in (("lk", 5), ("burau", 5)):
         r = rep(kind, n)
@@ -151,7 +162,7 @@ def test_substitute_replays_every_word():
         for i, e in enumerate(basis.entries):
             unit = np.zeros(basis.dim, dtype=np.int64)
             unit[i] = 1
-            assert bb.substitute(basis, unit, repl) == word_product(sides, repl, e)
+            assert bb.substitute(basis, unit, repl) == entry_product(basis, e, repl)
 
 
 def test_express_examples():
@@ -245,3 +256,41 @@ def test_substitution_equivariance():
         coeffs = bb.express(basis, target)
         assert bb.substitute(basis, coeffs, replacement) == p_mat @ target @ q_mat
 
+
+@pytest.mark.parametrize("p", [5, 101, bb.DEFAULT_PRIME, (1 << 62) - 57])
+def test_sampled_span_matches_sandwich_rank(p):
+    # the sampled basis spans all dim A_L * dim A_R products A_i core B_j,
+    # ranked by an independent RREF, and express/substitute round-trips
+    f = bb.PrimeField(p)
+    rng = random.Random(p % 1000)
+    for kind, n in (("lk", 4), ("lk", 5), ("burau", 4), ("burau", 5)):
+        if kind == "lk":
+            r = bb.lk_representation(f, n, rng.randrange(2, p), rng.randrange(1, p))
+        else:
+            r = bb.burau_representation(f, n, rng.randrange(1, p))
+        pair = bb.commuting_subgroups(r, 2)
+        sides = bb.SideSpec.mixed(pair.b_gens, pair.a_gens)
+        core = random_word_matrix(r, rng)
+        basis = bb.build_decorated_basis(core, sides)
+        lefts = [word_product(sides.left, w, f, r.dim) for w in basis.left.words]
+        rights = [word_product(sides.right, w, f, r.dim) for w in basis.right.words]
+        products = [a @ core @ b for a in lefts for b in rights]
+        rank = plain_rref_rank([x.a.reshape(-1).tolist() for x in products], p)
+        assert basis.dim == rank, f"{kind} n={n}: sampled {basis.dim} != {rank}"
+        target = products[-1]
+        assert bb.substitute(basis, bb.express(basis, target), core) == target
+
+
+def test_sampled_basis_is_deterministic():
+    # two builds of the same core over equal sides draw the same rows
+    rng = random.Random(32)
+    r = rep("lk", 5)
+    pair = bb.commuting_subgroups(r, 2)
+    core = random_word_matrix(r, rng)
+    one, two = (bb.build_decorated_basis(core, bb.SideSpec.mixed(pair.b_gens, pair.a_gens))
+                for _ in range(2))
+    assert one.left.words == two.left.words and one.right.words == two.right.words
+    assert one.rho.tobytes() == two.rho.tobytes()
+    assert one.sigma.tobytes() == two.sigma.tobytes()
+    assert [e.value.a.tobytes() for e in one.entries] == \
+        [e.value.a.tobytes() for e in two.entries]
