@@ -189,7 +189,7 @@ def cmd_bench(args) -> int:
     pairs = []
     for seed, _, report in run_bench(_params(args), n_list, protocols, args.trials):
         for stage in report.stages:
-            stage.basis = None  # the table reads counts; an n=10 basis is up to ~45 MB
+            stage.basis = None  # the table reads counts; an n=10 basis is up to ~29 MB
         pairs.append((seed, report))
     print(format_table(pairs, include_timings=args.timings), end="")
     if args.out:

@@ -273,10 +273,12 @@ def _solve(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class EchelonState:
-    """RREF of the span of the vectors fed so far: one reduced row per
-    accepted vector, with the identity at pivot_cols. The accepted vectors
-    are kept as given, and solve finds coordinates in them from their pivot
-    columns alone.
+    """RREF of the span of the vectors fed so far, and the only store of
+    those vectors. rows holds one reduced row per accepted vector, with the
+    identity at pivot_cols; originals holds the accepted vectors as given,
+    in order, and solve finds coordinates in them from their pivot columns
+    alone. Both are replaced, never modified, as vectors are accepted, so a
+    view of either stays valid; do not modify them.
     Single-writer; completed states may be read concurrently.
     """
 
@@ -284,17 +286,12 @@ class EchelonState:
         self.field = field
         self.ambient = ambient
         self.pivot_cols: list[int] = []
-        self._rows = field.zeros((0, ambient))
-        self._orig = field.zeros((0, ambient))
+        self.rows = field.zeros((0, ambient))  # rank x ambient
+        self.originals = field.zeros((0, ambient))  # rank x ambient
 
     @property
     def rank(self) -> int:
         return len(self.pivot_cols)
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The reduced rows (rank x ambient); do not modify."""
-        return self._rows
 
     def _as_vec(self, v) -> np.ndarray:
         v = np.asarray(v) % self.field.p
@@ -314,11 +311,11 @@ class EchelonState:
             raise ValueError(f"expected (k, {self.ambient}) block")
         if block.size and (block.min() < 0 or block.max() >= f.p):
             block = block % f.p
-        new, pivots, self._rows = _merge(f, self._rows, self.pivot_cols, block)
+        new, pivots, self.rows = _merge(f, self.rows, self.pivot_cols, block)
         accepted = np.zeros(block.shape[0], dtype=bool)
         accepted[new] = True
         if new:
-            self._orig = np.concatenate([self._orig, block[new]])
+            self.originals = np.concatenate([self.originals, block[new]])
             self.pivot_cols += pivots
         return accepted
 
@@ -327,7 +324,7 @@ class EchelonState:
         return bool(self.extend_batch(self._as_vec(v)[None, :])[0])
 
     def in_span(self, v) -> bool:
-        return not _merge(self.field, self._rows, self.pivot_cols, self._as_vec(v)[None, :])[0]
+        return not _merge(self.field, self.rows, self.pivot_cols, self._as_vec(v)[None, :])[0]
 
     def solve(self, v) -> np.ndarray | None:
         """Coordinates of v in the originally inserted vectors, or None."""
@@ -336,4 +333,4 @@ class EchelonState:
             return None
         # v = c @ originals, so originals[:, pivots]^T c = v[pivots]
         piv = self.pivot_cols
-        return _solve(self.field, self._orig[:, piv].T, vec[piv, None])[:, 0]
+        return _solve(self.field, self.originals[:, piv].T, vec[piv, None])[:, 0]

@@ -113,21 +113,21 @@ def _close(field: PrimeField, m: int, side: tuple[SideEntry, ...]) -> Algebra:
     side, breadth first, dependent words dropped: a basis of the unital
     algebra the side's words span. The inverses (negative labels) are left
     out: an invertible matrix's inverse is a polynomial in it, so they add
-    nothing. One batched product per multiplier."""
+    nothing. One batched product per multiplier, on the frontier: the
+    state's last accepted rows."""
     side = tuple(e for e in side if e[0] > 0)
-    ident = field.identity_array(m)
     state = EchelonState(field, m * m)
-    state.extend_batch(ident.reshape(1, -1))
-    words, frontier, stacks = [()], [()], [ident[None]]
+    state.extend_batch(field.identity_array(m).reshape(1, -1))
+    words, frontier = [()], [()]
     while frontier and side:
         f = len(frontier)
-        block = np.concatenate([gemm_mod(field, mat.a, stacks[-1]) for _, mat in side])
+        last = state.originals[-f:].reshape(f, m, m)
+        block = np.concatenate([gemm_mod(field, mat.a, last) for _, mat in side])
         kept = np.flatnonzero(state.extend_batch(block.reshape(len(block), -1)))
         # row k of block is side[k // f] times frontier[k % f]
         frontier = [(side[k // f][0],) + frontier[k % f] for k in kept]
         words += frontier
-        stacks.append(block[kept])
-    return Algebra(tuple(words), np.concatenate(stacks).reshape(len(words), -1))
+    return Algebra(tuple(words), state.originals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +143,8 @@ class BasisEntry:
 class DecoratedBasis:
     """Saturated basis of Sp(A_L * core * A_R) with per-entry provenance.
 
-    Row i of rho, sigma and values holds entries[i]. Construction
+    Row i of rho, sigma and echelon.originals holds entries[i]; each
+    entry's value is a view of its row there. Construction
     is sequential and deterministic; a completed basis is immutable and may
     be shared. Independent bases build in parallel fine.
     """
@@ -154,7 +155,6 @@ class DecoratedBasis:
         sides: SideSpec,
         rho: np.ndarray,
         sigma: np.ndarray,
-        values: np.ndarray,
         echelon: EchelonState,
         build_mul_count: int,
         candidates_checked: int,
@@ -171,7 +171,7 @@ class DecoratedBasis:
         m = core.dim
         self.entries = [
             BasisEntry(r, s, SquareMatrix(self.field, v.reshape(m, m)))
-            for r, s, v in zip(rho, sigma, values)
+            for r, s, v in zip(rho, sigma, echelon.originals)
         ]
 
     @property
@@ -252,7 +252,6 @@ def build_decorated_basis(core: SquareMatrix, sides: SideSpec) -> DecoratedBasis
     state.try_extend(core.a.reshape(-1))
     rho, sigma = [field.zeros((1, left.dim))], [field.zeros((1, right.dim))]
     rho[0][0, 0] = sigma[0][0, 0] = 1  # word 0 of each algebra is the identity
-    values = [core.a.reshape(1, -1)]
     # core * B_j for every word B_j of A_R, so that core * Q = sigma . core_right
     core_right = gemm_mod(field, core.a, right.mats.reshape(-1, m, m)).reshape(right.dim, -1)
     drawn, run, size = 1, 0, 1
@@ -265,7 +264,6 @@ def build_decorated_basis(core: SquareMatrix, sides: SideSpec) -> DecoratedBasis
         kept = np.flatnonzero(state.extend_batch(block))
         rho.append(r_blk[kept])
         sigma.append(s_blk[kept])
-        values.append(block[kept])
         drawn += size
         run = size - 1 - int(kept[-1]) if len(kept) else run + size
         size = need - run if run else min(2 * size, _MAX_BLOCK, full - state.rank)
@@ -275,7 +273,6 @@ def build_decorated_basis(core: SquareMatrix, sides: SideSpec) -> DecoratedBasis
         sides,
         np.concatenate(rho),
         np.concatenate(sigma),
-        np.concatenate(values),
         state,
         field.ops.mul_count - mul0,
         drawn,

@@ -96,16 +96,14 @@ def test_cross_protocol_verification_never_false_match():
     assert bb.verify_against_oracle(report1, run2) is False
 
 
-def test_corrupted_u_never_false_match():
+@pytest.mark.parametrize("replacement", ["identity", "w"])
+def test_corrupted_u_never_false_match(replacement):
+    # a well-formed u that was never sent can give a wrong key with no
+    # error (the attacker cannot tell it apart), but never a false MATCH
     run = honest_run(1, "lk", 4, seed=21)
     t = run.transcript
-    ident = bb.SquareMatrix.identity(t.field, t.dim)
-    corrupted = bb.Transcript(
-        protocol_id=t.protocol_id, n=t.n, rep_kind=t.rep_kind, field=t.field,
-        q=t.q, t=t.t, split=t.split, dim=t.dim, h=t.h,
-        a_gens=t.a_gens, b_gens=t.b_gens,
-        x=t.x, y=t.y, w=t.w, z=t.z, u=ident, v=t.v,
-    )
+    u = bb.SquareMatrix.identity(t.field, t.dim) if replacement == "identity" else t.w
+    corrupted = dataclasses.replace(t, u=u)
     try:
         report = bb.attack_transcript(corrupted)
     except bb.MalformedTranscriptError as e:

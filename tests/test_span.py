@@ -294,3 +294,20 @@ def test_sampled_basis_is_deterministic():
     assert one.sigma.tobytes() == two.sigma.tobytes()
     assert [e.value.a.tobytes() for e in one.entries] == \
         [e.value.a.tobytes() for e in two.entries]
+
+
+def test_basis_keeps_each_accepted_row_once():
+    # every entry's value is a view of its row in the echelon state, which
+    # is the only store of the accepted rows
+    rng = random.Random(33)
+    for kind, n in (("lk", 5), ("burau", 5)):
+        r = rep(kind, n)
+        pair = bb.commuting_subgroups(r, 2)
+        for sides in (bb.SideSpec.two_sided(pair.b_gens),
+                      bb.SideSpec.mixed(pair.b_gens, pair.a_gens)):
+            basis = bb.build_decorated_basis(random_word_matrix(r, rng), sides)
+            originals = basis.echelon.originals
+            assert len(originals) == basis.dim
+            for i, e in enumerate(basis.entries):
+                assert np.shares_memory(e.value.a, originals)
+                assert np.array_equal(e.value.a.reshape(-1), originals[i])
