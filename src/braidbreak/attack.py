@@ -27,20 +27,20 @@ from dataclasses import dataclass
 from .errors import MalformedTranscriptError, NotInSpanError
 from .matrix import SquareMatrix
 from .protocol import PROTOCOLS, SCHEMA_VERSION, Transcript
-from .span import DecoratedBasis, SideSpec, build_decorated_basis, express, substitute
+from .span import SideSpec, build_decorated_basis, express, substitute
 
 
 @dataclass
 class StageReport:
-    """One attack stage: its basis size and cost, plus the stage output."""
+    """One attack stage: its basis size and cost, plus the stage output.
+    The basis itself is not kept; stage_bases builds it again."""
 
     stage: int
     basis_dim: int
     u_size: int
     build_mul_count: int
     bound_value: int
-    intermediate: SquareMatrix | None
-    basis: DecoratedBasis | None  # None where only the counts are kept
+    intermediate: SquareMatrix  # stage 3's is the recovered key
 
 
 @dataclass
@@ -113,35 +113,21 @@ class AttackReport:
 STAGES = (("w", "x"), ("h", "y"), ("z", "v"))
 
 
-def _stage(
-    stage_no: int,
-    t: Transcript,
-    replacement: SquareMatrix,
-    sides: SideSpec,
-) -> tuple[SquareMatrix, StageReport]:
-    core_name, target_name = STAGES[stage_no - 1]
-    where = f"stage {stage_no}, core {core_name}"
-    core = getattr(t, core_name)
-    if not core.a.any():
-        raise MalformedTranscriptError(stage_no, core_name, f"{where}: zero matrix")
-    basis = build_decorated_basis(core, sides)
-    try:
-        coeffs = express(basis, getattr(t, target_name))
-    except NotInSpanError as e:
-        raise MalformedTranscriptError(
-            stage_no, core_name, f"{where}: {e}", rank=basis.dim
-        ) from e
-    out = substitute(basis, coeffs, replacement)
-    report = StageReport(
-        stage=stage_no,
-        basis_dim=basis.dim,
-        u_size=basis.u_size,
-        build_mul_count=basis.build_mul_count,
-        bound_value=basis.bound_value(),
-        intermediate=out,
-        basis=basis,
-    )
-    return out, report
+def stage_bases(t: Transcript):
+    """Yield (stage_no, core_name, target_name, basis) for stages 1-3, one
+    basis built per step, over the sides PROTOCOLS names for t. A caller
+    that drops each basis before the next step holds one at a time."""
+    gens = {"A": t.a_gens, "B": t.b_gens}
+    sides = SideSpec.mixed(*(gens[group] for group in PROTOCOLS[t.protocol_id].sides))
+    # a wrong listed inverse would silently skew every span built below
+    sides.validate()
+    for stage_no, (core_name, target_name) in enumerate(STAGES, 1):
+        core = getattr(t, core_name)
+        if not core.a.any():
+            raise MalformedTranscriptError(
+                stage_no, core_name, f"stage {stage_no}, core {core_name}: zero matrix"
+            )
+        yield stage_no, core_name, target_name, build_decorated_basis(core, sides)
 
 
 def attack_transcript(t: Transcript) -> AttackReport:
@@ -149,15 +135,25 @@ def attack_transcript(t: Transcript) -> AttackReport:
     field = t.field
     snap = field.ops.snapshot()
     t0 = time.perf_counter()
-    gens = {"A": t.a_gens, "B": t.b_gens}
-    sides = SideSpec.mixed(*(gens[group] for group in PROTOCOLS[t.protocol_id].sides))
-    # a wrong listed inverse would silently skew every span built below
-    sides.validate()
     replacement, stages = t.u, []
-    for stage_no in (1, 2, 3):
-        replacement, report = _stage(stage_no, t, replacement, sides)
-        stages.append(report)
-    stages[-1].intermediate = None  # stage 3 output is the recovered key itself
+    for stage_no, core_name, target_name, basis in stage_bases(t):
+        try:
+            coeffs = express(basis, getattr(t, target_name))
+        except NotInSpanError as e:
+            raise MalformedTranscriptError(
+                stage_no, core_name, f"stage {stage_no}, core {core_name}: {e}",
+                rank=basis.dim,
+            ) from e
+        replacement = substitute(basis, coeffs, replacement)
+        stages.append(StageReport(
+            stage=stage_no,
+            basis_dim=basis.dim,
+            u_size=basis.u_size,
+            build_mul_count=basis.build_mul_count,
+            bound_value=basis.bound_value(),
+            intermediate=replacement,
+        ))
+        del basis  # the next stage's build runs without this one alive
     wall = time.perf_counter() - t0
     return AttackReport(
         protocol_id=t.protocol_id,

@@ -13,13 +13,14 @@ import json
 import sys
 from pathlib import Path
 
-from .attack import STAGES, AttackReport, attack_transcript, verify_against_oracle
+from .attack import attack_transcript, stage_bases, verify_against_oracle
 from .bench import bench_text, format_table, run_bench
 from .errors import BraidbreakError, TranscriptFormatError
 from .field import DEFAULT_PRIME
 from .protocol import (
     SCHEMA_VERSION,
     ProtocolParams,
+    Transcript,
     read_transcript,
     run_protocol,
     write_transcript,
@@ -79,28 +80,29 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _bases_document(report: AttackReport) -> dict:
+def _bases_document(transcript: Transcript) -> dict:
     """The words of both side algebras, listed once, and every stage's
-    entries as coefficients over them (rho left, sigma right) and value."""
+    entries as coefficients over them (rho left, sigma right) and value.
+    The bases are built again from the transcript, one at a time; a build
+    is a function of its inputs, so they are the attack's."""
     stages = []
-    for s, (core_name, _) in zip(report.stages, STAGES):
+    for stage_no, core_name, _, basis in stage_bases(transcript):
         stages.append({
-            "stage": s.stage,
+            "stage": stage_no,
             "core": core_name,
-            "basis_dim": s.basis_dim,
+            "basis_dim": basis.dim,
             "entries": [
                 {
                     "rho": [str(x) for x in e.rho.tolist()],
                     "sigma": [str(x) for x in e.sigma.tolist()],
                     "value": e.value.to_rows(),
                 }
-                for e in s.basis.entries
+                for e in basis.entries
             ],
         })
-    basis = report.stages[0].basis
     return {
         "schema_version": SCHEMA_VERSION,
-        "protocol_id": report.protocol_id,
+        "protocol_id": transcript.protocol_id,
         "left_words": [list(w) for w in basis.left.words],
         "right_words": [list(w) for w in basis.right.words],
         "stages": stages,
@@ -124,7 +126,7 @@ def cmd_attack(args) -> int:
             dump_path = str(Path(args.out).with_suffix("")) + ".bases.json"
         else:
             dump_path = "attack.bases.json"
-        _write(dump_path, json.dumps(_bases_document(report), indent=1) + "\n")
+        _write(dump_path, json.dumps(_bases_document(transcript), indent=1) + "\n")
         print(f"attack: bases -> {dump_path}")
     if args.fixture:
         _, fixture = _read(args.fixture)
@@ -186,11 +188,10 @@ def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     protocols = (1, 2) if args.protocol is None else (args.protocol,)
-    pairs = []
-    for seed, _, report in run_bench(_params(args), n_list, protocols, args.trials):
-        for stage in report.stages:
-            stage.basis = None  # the table reads counts; an n=10 basis is up to ~29 MB
-        pairs.append((seed, report))
+    pairs = [
+        (seed, report)
+        for seed, _, report in run_bench(_params(args), n_list, protocols, args.trials)
+    ]
     print(format_table(pairs, include_timings=args.timings), end="")
     if args.out:
         _write(args.out, bench_text(pairs, include_timings=args.timings))

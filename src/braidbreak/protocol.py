@@ -330,7 +330,7 @@ def read_transcript(text: str) -> tuple[Transcript, FixtureData | None]:
     """
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, or an integer too long
         raise TranscriptFormatError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise TranscriptFormatError("transcript document must be an object")

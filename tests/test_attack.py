@@ -2,13 +2,16 @@
 public-transcript information boundary."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
 import braidbreak as bb
 from braidbreak.protocol import derive_trial_seed
+from braidbreak.span import build_decorated_basis
 
-from helpers import assert_span_complexity, honest_run
+from helpers import honest_run
 
 
 def test_empty_words_recover_h():
@@ -33,7 +36,26 @@ def test_lk_multi_seed_recovery(protocol_id):
         report = bb.attack_transcript(run.transcript)
         assert bb.verify_against_oracle(report, run), f"seed {seed}"
         for stage in report.stages:
-            assert_span_complexity(stage.basis)
+            assert stage.build_mul_count <= 50 * stage.bound_value, f"seed {seed}"
+
+
+def test_attack_holds_one_basis_at_a_time(monkeypatch):
+    # each stage's basis is dropped before the next stage builds its own
+    built = []
+
+    def spy(core, sides):
+        gc.collect()
+        assert [ref() for ref in built] == [None] * len(built)
+        basis = build_decorated_basis(core, sides)
+        built.append(weakref.ref(basis))
+        return basis
+
+    monkeypatch.setattr("braidbreak.attack.build_decorated_basis", spy)
+    run = honest_run(2, "lk", 5, seed=3)
+    report = bb.attack_transcript(run.transcript)
+    assert bb.verify_against_oracle(report, run)
+    gc.collect()
+    assert len(built) == 3 and [ref() for ref in built] == [None] * 3
 
 
 def test_stage1_intermediate_matches_private_oracle():

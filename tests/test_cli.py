@@ -78,7 +78,9 @@ def test_attack_dump_bases(tmp_path):
     transcript, _ = bb.read_transcript(t.read_text())
     f, m = transcript.field, transcript.dim
     sides = bb.SideSpec.two_sided(transcript.b_gens)
-    for stage in dump["stages"]:
+    report = json.loads(r.read_text())
+    for stage, reported in zip(dump["stages"], report["stages"], strict=True):
+        assert stage["basis_dim"] == reported["basis_dim"]
         core = getattr(transcript, stage["core"])
         assert len(stage["entries"]) == stage["basis_dim"]
         for entry in stage["entries"][:3]:
@@ -356,6 +358,7 @@ def test_attack_rejects_wrong_listed_inverse(tmp_path, capsys):
 @pytest.mark.parametrize("which", ["transcript", "fixture"])
 @pytest.mark.parametrize("bad,named", [
     ("nested", "TranscriptFormatError: not valid JSON"),
+    ("digits", "TranscriptFormatError: not valid JSON"),
     ("directory", "error: [Errno"),
     ("latin-1", "TranscriptFormatError: "),
 ])
@@ -365,6 +368,8 @@ def test_attack_bad_file_is_a_named_error(tmp_path, capsys, which, bad, named):
     path = tmp_path / "bad.json"
     if bad == "nested":
         path.write_text("[" * 200_000)
+    elif bad == "digits":  # past Python's int conversion limit of 4,300 digits
+        path.write_text(t.read_text().replace('"p": ', '"p": ' + "9" * 5_000, 1))
     elif bad == "directory":
         path.mkdir()
     else:
@@ -376,5 +381,5 @@ def test_attack_bad_file_is_a_named_error(tmp_path, capsys, which, bad, named):
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert named in err
-    if bad != "nested":
+    if bad in ("directory", "latin-1"):
         assert str(path) in err
