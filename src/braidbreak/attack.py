@@ -116,7 +116,15 @@ STAGES = (("w", "x"), ("h", "y"), ("z", "v"))
 def stage_bases(t: Transcript):
     """Yield (stage_no, core_name, target_name, basis) for stages 1-3, one
     basis built per step, over the sides PROTOCOLS names for t. A caller
-    that drops each basis before the next step holds one at a time."""
+    that drops each basis before the next step holds one at a time.
+
+    On an honest transcript each core is P h Q between invertible factors
+    of the sides' own subgroups, with P and Q invertible and commuting with
+    the left and the right algebra (protocol 1: w = g3 f1 d1 c1 h c2 d2 f2
+    g4), so its span is P V_h Q and the three spans have one dimension. A
+    stage whose basis dim differs from stage 1's raises
+    MalformedTranscriptError.
+    """
     gens = {"A": t.a_gens, "B": t.b_gens}
     sides = SideSpec.mixed(*(gens[group] for group in PROTOCOLS[t.protocol_id].sides))
     # a wrong listed inverse would silently skew every span built below
@@ -127,7 +135,18 @@ def stage_bases(t: Transcript):
             raise MalformedTranscriptError(
                 stage_no, core_name, f"stage {stage_no}, core {core_name}: zero matrix"
             )
-        yield stage_no, core_name, target_name, build_decorated_basis(core, sides)
+        basis = build_decorated_basis(core, sides)
+        if stage_no == 1:
+            first = basis.dim
+        elif basis.dim != first:
+            raise MalformedTranscriptError(
+                stage_no, core_name,
+                f"stage {stage_no}, core {core_name}: basis dim {basis.dim} "
+                f"differs from stage 1's {first}",
+                rank=basis.dim,
+            )
+        yield stage_no, core_name, target_name, basis
+        del basis  # the next build runs without this one alive
 
 
 def attack_transcript(t: Transcript) -> AttackReport:

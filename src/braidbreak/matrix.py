@@ -14,6 +14,7 @@ multiplications/additions to the field's OpCounter.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,7 @@ def gemm_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     p = field.p
     k, r, n = a.shape[-2], a.shape[-1], b.shape[-1]
-    batch = max(int(np.prod(a.shape[:-2])), int(np.prod(b.shape[:-2])))
+    batch = max(math.prod(a.shape[:-2]), math.prod(b.shape[:-2]))
     field.ops.mul_count += batch * k * r * n
     field.ops.add_count += batch * k * n * max(r - 1, 0)
 
@@ -168,9 +169,15 @@ class SquareMatrix:
         return SquareMatrix(self.field, gemm_mod(self.field, self.a, other.a))
 
     def inverse(self) -> "SquareMatrix":
-        """Exact inverse; raises SingularMatrixError."""
-        ident = self.field.identity_array(self.dim)
-        return SquareMatrix(self.field, _solve(self.field, self.a, ident))
+        """Exact inverse; raises SingularMatrixError. a is invertible iff its
+        rank profile accepts all m rows, and then a x = I for x[pivots] =
+        a[:, pivots]^-1, the inverse the profile returns."""
+        _, pivots, inv = row_rank_profile(self.field, self.a)
+        if len(pivots) < self.dim:
+            raise SingularMatrixError(f"singular matrix (rank < {self.dim})")
+        x = self.field.zeros(inv.shape)
+        x[pivots] = inv
+        return SquareMatrix(self.field, x)
 
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.a, self.field.identity_array(self.dim)))
@@ -198,53 +205,70 @@ def row_rank_profile(
 
     Row i is accepted iff it is independent of the rows before it; its pivot
     is the first nonzero column of its residual against them. Returns the
-    accepted rows and their pivots, in order, and the RREF of x's row space,
-    reduced row j holding the identity at the pivots. Above _LEAF rows the
-    top half is profiled and the bottom half merged onto it.
+    accepted rows and their pivots, in order, and the inverse of the pivot
+    block x[rows][:, pivots], so that inv @ x[rows] is the RREF of x's row
+    space. Above _LEAF rows the top half is profiled and the bottom half
+    merged onto it.
     """
     k = x.shape[0]
     if k <= _LEAF:
         return _profile_rows(field, x)
     half = k // 2
-    rows, pivots, top = row_rank_profile(field, x[:half])
-    new, new_pivots, red = _merge(field, top, pivots, x[half:])
-    return rows + [half + i for i in new], pivots + new_pivots, red
+    rows, pivots, inv = row_rank_profile(field, x[:half])
+    new, new_pivots, inv = _merge(field, x[rows], pivots, inv, x[half:])
+    return rows + [half + i for i in new], pivots + new_pivots, inv
 
 
 def _merge(
-    field: PrimeField, red: np.ndarray, pivots: list[int], block: np.ndarray
+    field: PrimeField,
+    orig: np.ndarray,
+    pivots: list[int],
+    inv: np.ndarray,
+    block: np.ndarray,
 ) -> tuple[list[int], list[int], np.ndarray]:
-    """The rank profile of block on top of the RREF red with the given pivot
-    columns: block is reduced against red on the other columns in one
-    product, its zero rows dropped and the rest profiled; a second product
-    clears red at the new pivots. Returns the accepted rows of block, their
-    pivots and the RREF of both; red itself is left as it is.
+    """The rank profile of block on top of the independent rows orig, whose
+    pivot block orig[:, pivots] has the inverse inv.
+
+    block is reduced on the other columns as block - (block[:, pivots] inv)
+    orig, its zero rows dropped and the rest profiled. The profile returns
+    S^-1 for S, the Schur complement of the grown pivot block; with E the
+    accepted rows of block[:, pivots] inv, F = inv orig[:, new pivots] and
+    Z = S^-1 [-E | I], the grown inverse is [inv | 0] - F Z stacked on Z.
+    Returns the accepted rows of block, their pivots and that inverse; orig
+    and inv are left as they are.
     """
-    cols = block.shape[1]
-    rest = np.delete(np.arange(cols), pivots)
+    rest = np.delete(np.arange(block.shape[1]), pivots)
     low = block[:, rest]
     if pivots:
-        low = _sub_mod(field, low, gemm_mod(field, block[:, pivots], red[:, rest]))
+        coef = gemm_mod(field, block[:, pivots], inv)
+        low = _sub_mod(field, low, gemm_mod(field, coef, orig[:, rest]))
     live = np.flatnonzero(low.any(axis=1))
-    rows, piv, bottom = row_rank_profile(field, low[live])
+    rows, piv, s_inv = row_rank_profile(field, low[live])
     if not rows:
-        return [], [], red
-    new_pivots = rest[piv]
-    out = field.zeros((len(red) + len(rows), cols))
-    out[: len(red)] = red
-    if pivots:
-        upd = gemm_mod(field, red[:, new_pivots], bottom)
-        out[: len(red), rest] = _sub_mod(field, red[:, rest], upd)
-    out[len(red) :, rest] = bottom
-    return live[rows].tolist(), new_pivots.tolist(), out
+        return [], [], inv
+    kept, new_pivots = live[rows].tolist(), rest[piv].tolist()
+    if not pivots:
+        return kept, new_pivots, s_inv
+    old = len(pivots)
+    f = gemm_mod(field, inv, orig[:, new_pivots])
+    out = field.zeros((old + len(rows), old + len(rows)))
+    out[:old, :old] = inv
+    out[old:, :old] = _sub_mod(field, 0, gemm_mod(field, s_inv, coef[kept]))
+    out[old:, old:] = s_inv
+    out[:old] = _sub_mod(field, out[:old], gemm_mod(field, f, out[old:]))
+    return kept, new_pivots, out
 
 
 def _profile_rows(field: PrimeField, x: np.ndarray):
-    """row_rank_profile of a small block: Gauss-Jordan, one row at a time."""
-    p, x = field.p, x.copy()
+    """row_rank_profile of a small block: Gauss-Jordan on [x | I], one row at
+    a time. An accepted row is only ever reduced by accepted rows, so the
+    identity part of the accepted rows, on their own columns, ends as the
+    inverse of their pivot block."""
+    p, (k, c) = field.p, x.shape
+    x = np.concatenate([x, field.identity_array(k)], axis=1)
     rows, pivots = [], []
-    for i in range(x.shape[0]):
-        nz = x[i].nonzero()[0]
+    for i in range(k):
+        nz = x[i, :c].nonzero()[0]
         if not len(nz):
             continue
         j = int(nz[0])
@@ -256,28 +280,17 @@ def _profile_rows(field: PrimeField, x: np.ndarray):
         field.ops.mul_count += x.size + x.shape[1]
         rows.append(i)
         pivots.append(j)
-    return rows, pivots, x[rows]
-
-
-def _solve(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^-1 b for a square residue array a, from the profile of [a | b]: a is
-    invertible iff its m columns hold m pivots, and the reduced row with
-    pivot j then ends in row j of a^-1 b."""
-    m = a.shape[0]
-    _, pivots, red = row_rank_profile(field, np.concatenate([a, b], axis=1))
-    if len(pivots) < m or any(j >= m for j in pivots):
-        raise SingularMatrixError(f"singular matrix (rank < {m})")
-    x = field.zeros(b.shape)
-    x[pivots] = red[:, m:]
-    return x
+    kept = np.array(rows, dtype=np.intp)
+    return rows, pivots, x[kept[:, None], c + kept]
 
 
 class EchelonState:
-    """RREF of the span of the vectors fed so far, and the only store of
-    those vectors. rows holds one reduced row per accepted vector, with the
-    identity at pivot_cols; originals holds the accepted vectors as given,
-    in order, and solve finds coordinates in them from their pivot columns
-    alone. Both are replaced, never modified, as vectors are accepted, so a
+    """The span of the vectors fed so far, and the only store of those
+    vectors. originals holds the accepted vectors as given, in order, with
+    one pivot column each in pivot_cols; inv is the inverse of
+    originals[:, pivot_cols], so inv @ originals is the RREF of the span.
+    solve reads coordinates off inv alone and checks them on every column.
+    Both arrays are replaced, never modified, as vectors are accepted, so a
     view of either stays valid; do not modify them.
     Single-writer; completed states may be read concurrently.
     """
@@ -286,7 +299,7 @@ class EchelonState:
         self.field = field
         self.ambient = ambient
         self.pivot_cols: list[int] = []
-        self.rows = field.zeros((0, ambient))  # rank x ambient
+        self.inv = field.zeros((0, 0))  # rank x rank
         self.originals = field.zeros((0, ambient))  # rank x ambient
 
     @property
@@ -311,7 +324,7 @@ class EchelonState:
             raise ValueError(f"expected (k, {self.ambient}) block")
         if block.size and (block.min() < 0 or block.max() >= f.p):
             block = block % f.p
-        new, pivots, self.rows = _merge(f, self.rows, self.pivot_cols, block)
+        new, pivots, self.inv = _merge(f, self.originals, self.pivot_cols, self.inv, block)
         accepted = np.zeros(block.shape[0], dtype=bool)
         accepted[new] = True
         if new:
@@ -324,13 +337,16 @@ class EchelonState:
         return bool(self.extend_batch(self._as_vec(v)[None, :])[0])
 
     def in_span(self, v) -> bool:
-        return not _merge(self.field, self.rows, self.pivot_cols, self._as_vec(v)[None, :])[0]
+        return self.solve(v) is not None
 
     def solve(self, v) -> np.ndarray | None:
-        """Coordinates of v in the originally inserted vectors, or None."""
-        vec = self._as_vec(v)
-        if not self.in_span(vec):
+        """Coordinates of v in the originally inserted vectors, or None.
+
+        v = c @ originals forces c = v[pivot_cols] @ inv; c is returned iff
+        that equation holds exactly on every column.
+        """
+        f, vec = self.field, self._as_vec(v)
+        c = gemm_mod(f, vec[None, self.pivot_cols], self.inv)
+        if not np.array_equal(gemm_mod(f, c, self.originals)[0], vec):
             return None
-        # v = c @ originals, so originals[:, pivots]^T c = v[pivots]
-        piv = self.pivot_cols
-        return _solve(self.field, self.originals[:, piv].T, vec[piv, None])[:, 0]
+        return c[0]

@@ -167,6 +167,21 @@ def test_zero_core_raises_stage_labeled_error(stage, core):
     assert (exc.value.stage, exc.value.core, exc.value.rank) == (stage, core, None)
 
 
+@pytest.mark.parametrize("stage,core", [(2, "h"), (3, "z")])
+def test_unequal_stage_dims_raise_stage_labeled_error(stage, core):
+    run = honest_run(2, "lk", 4, seed=22)
+    t = run.transcript
+    first = bb.attack_transcript(t).stage_dims[0]
+    ident = bb.SquareMatrix.identity(t.field, t.dim)
+    dim = bb.build_decorated_basis(ident, bb.SideSpec.mixed(t.b_gens, t.a_gens)).dim
+    assert dim != first
+    with pytest.raises(bb.MalformedTranscriptError,
+                       match=f"stage {stage}, core {core}: basis dim {dim} "
+                             f"differs from stage 1's {first}") as exc:
+        bb.attack_transcript(dataclasses.replace(t, **{core: ident}))
+    assert (exc.value.stage, exc.value.core, exc.value.rank) == (stage, core, dim)
+
+
 def test_report_document_shape_and_determinism():
     run = honest_run(2, "burau", 4, seed=23)
     report = bb.attack_transcript(run.transcript)
@@ -244,10 +259,10 @@ def test_wrong_listed_inverse_raises_before_stage_1(protocol_id, side):
 # CHANGES.md, with the old and the new values.
 PINNED_COUNTS = [
     # (protocol, rep, stage dims, (mul, add, inv)) at n=5, seed 31
-    (1, "lk", (40, 40, 40), (1724792, 1634068, 254)),
-    (1, "burau", (9, 9, 9), (40596, 34386, 59)),
-    (2, "lk", (31, 31, 31), (831623, 775293, 203)),
-    (2, "burau", (8, 8, 8), (26454, 21782, 55)),
+    (1, "lk", (40, 40, 40), (1733831, 1638341, 134)),
+    (1, "burau", (9, 9, 9), (40241, 33716, 32)),
+    (2, "lk", (31, 31, 31), (741463, 684156, 110)),
+    (2, "burau", (8, 8, 8), (25542, 20666, 31)),
 ]
 
 

@@ -89,17 +89,24 @@ def test_try_extend_pigeonhole():
     assert state.rank <= m * m
 
 
+def rref(state):
+    """The reduced rows of a state's span: inv @ originals."""
+    return gemm_mod(state.field, state.inv, state.originals)
+
+
 def test_rref_idempotence():
     f = field()
     rng = random.Random(7)
     state = EchelonState(f, 12)
     for _ in range(5):
         state.try_extend(f.asarray([rng.randrange(f.p) for _ in range(12)]))
-    rows_before = state.rows.copy()
+    rows_before = rref(state)
+    inv_before = state.inv.copy()
     pivots_before = list(state.pivot_cols)
     for row in rows_before:
         assert not state.try_extend(row)
-    assert np.array_equal(state.rows, rows_before)
+    assert np.array_equal(rref(state), rows_before)
+    assert np.array_equal(state.inv, inv_before)
     assert state.pivot_cols == pivots_before
 
 
@@ -160,7 +167,8 @@ def test_extend_batch_matches_sequential():
     expected = [s_seq.try_extend(row) for row in block]
     assert list(mask) == expected
     assert s_batch.pivot_cols == s_seq.pivot_cols
-    assert np.array_equal(s_batch.rows, s_seq.rows)
+    assert np.array_equal(rref(s_batch), rref(s_seq))
+    assert np.array_equal(s_batch.inv, s_seq.inv)
 
 
 def test_solve_agrees_with_plain_rank_oracle():
@@ -181,10 +189,10 @@ def test_gauss_elimination_multiplication_bound():
     state = EchelonState(f, amb)
     for _ in range(n):
         state.try_extend(f.asarray([rng.randrange(f.p) for _ in range(amb)]))
-    _ = state.rows  # include final settling
     muls = f.ops.delta(snap)[0]
     assert state.rank == n
     assert muls <= 3 * n * n * amb, f"{muls} > {3 * n * n * amb}"
+    assert np.array_equal(rref(state)[:, state.pivot_cols], f.identity_array(n))
 
 
 def test_gemm_kernel_exact_against_bigint_reference():
@@ -324,13 +332,14 @@ def test_extend_batch_blocks_match_oracles(p):
     assert [i for i, ok in enumerate(masks) if ok] == [i for i, _ in profile]
     assert batch.pivot_cols == [col for _, col in profile] == seq.pivot_cols
     assert batch.rank == plain_rref_rank(fed, p)
-    assert np.array_equal(batch.rows, seq.rows)
+    rows = rref(batch)
+    assert np.array_equal(rows, rref(seq))
     ident = f.identity_array(batch.rank)
-    assert np.array_equal(batch.rows[:, batch.pivot_cols], ident)
+    assert np.array_equal(rows[:, batch.pivot_cols], ident)
     # the rows span exactly what was fed
     for vec in fed:
         assert batch.in_span(f.asarray(vec))
-    assert plain_rref_rank([list(r) for r in batch.rows] + fed, p) == batch.rank
+    assert plain_rref_rank([list(r) for r in rows] + fed, p) == batch.rank
 
 
 @pytest.mark.parametrize("p", [bb.DEFAULT_PRIME, (1 << 62) - 57])
@@ -354,6 +363,44 @@ def test_solve_rebuilds_target_after_batches(p):
         assert got == coeffs
     assert state.solve(f.asarray([0] * (amb - 1) + [1])) is None
     assert state.rank == len(kept) < amb
+
+
+@pytest.mark.parametrize("p", [bb.DEFAULT_PRIME, (1 << 62) - 57])
+def test_solve_exact_against_bigint_oracle(p):
+    f = bb.PrimeField(p)
+    rng = random.Random(24)
+    amb, n = 30, 12
+    state = EchelonState(f, amb)
+    e0 = f.asarray([1] + [0] * (amb - 1))
+    assert state.solve(e0) is None and not state.in_span(e0)  # rank 0
+    # the last column is zero on every kept vector, so never a pivot
+    basis = [[rng.randrange(p) for _ in range(amb - 1)] + [0] for _ in range(n)]
+    assert state.extend_batch(f.asarray(basis)).all()
+    coeffs = [rng.randrange(p) for _ in range(n)]
+    target = [sum(c * v[j] for c, v in zip(coeffs, basis)) % p for j in range(amb)]
+    assert [int(c) for c in state.solve(f.asarray(target))] == coeffs
+    # agrees with the target on every pivot column, off only on the last
+    off = target[:-1] + [1]
+    assert state.solve(f.asarray(off)) is None and not state.in_span(f.asarray(off))
+
+
+@pytest.mark.parametrize("p", [bb.DEFAULT_PRIME, (1 << 62) - 57])
+def test_inverse_on_both_fields(p):
+    f = bb.PrimeField(p)
+    rng = random.Random(26)
+    m = 7
+    # a permuted triangle: the pivots come out of column order
+    a = [[rng.randrange(1, p) if j >= i else 0 for j in range(m)] for i in range(m)]
+    a = [row[3:] + row[:3] for row in a[::-1]]
+    inv = bb.SquareMatrix.from_rows(f, a).inverse()
+    got = [[int(x) for x in row] for row in inv.a.tolist()]
+    ident = [[int(i == j) for j in range(m)] for i in range(m)]
+    assert [[sum(a[i][k] * got[k][j] for k in range(m)) % p for j in range(m)]
+            for i in range(m)] == ident
+    singular = a[:-1] + [[(x + y) % p for x, y in zip(a[0], a[1])]]
+    for rows in (singular, [[0] * m] * m):
+        with pytest.raises(bb.SingularMatrixError):
+            bb.SquareMatrix.from_rows(f, rows).inverse()
 
 
 def test_inverse_through_the_kernel_is_exact():

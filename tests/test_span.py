@@ -205,6 +205,18 @@ def test_express_not_in_span():
         bb.express(basis, outside)
 
 
+def test_express_runs_no_elimination(monkeypatch):
+    rng = random.Random(28)
+    r = rep("lk", 4)
+    basis = bb.build_decorated_basis(random_word_matrix(r, rng), b_sides(r, 2))
+    calls = []
+    for name in ("row_rank_profile", "_profile_rows"):
+        monkeypatch.setattr(bb.matrix, name, lambda *a, name=name: calls.append(name))
+    target = basis.entries[-1].value
+    assert list(bb.express(basis, target)) == [0] * (basis.dim - 1) + [1]
+    assert calls == []
+
+
 def test_substitute_identity_and_zero():
     rng = random.Random(27)
     r = rep("lk", 4)
