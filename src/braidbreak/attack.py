@@ -20,13 +20,12 @@ access path into this module.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
 from .errors import MalformedTranscriptError, NotInSpanError
 from .matrix import SquareMatrix
-from .protocol import PROTOCOLS, SCHEMA_VERSION, Transcript
+from .protocol import PROTOCOLS, SCHEMA_VERSION, Transcript, document_text
 from .span import SideSpec, build_decorated_basis, express, substitute
 
 
@@ -105,7 +104,7 @@ class AttackReport:
         return doc
 
     def to_text(self, include_timings: bool = False) -> str:
-        return json.dumps(self.to_document(include_timings), indent=1) + "\n"
+        return document_text(self.to_document(include_timings))
 
 
 # (core, target) transcript fields of stages 1-3; the replacement is u, then

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 
 from .attack import AttackReport, attack_transcript
-from .protocol import SCHEMA_VERSION, ProtocolParams, derive_trial_seed, run_protocol
+from .protocol import (
+    SCHEMA_VERSION,
+    ProtocolParams,
+    derive_trial_seed,
+    document_text,
+    run_protocol,
+)
 
 Pairs = list[tuple[int, AttackReport]]
 
@@ -100,7 +105,7 @@ def bench_document(pairs: Pairs, include_timings: bool = False) -> dict:
 
 
 def bench_text(pairs: Pairs, include_timings: bool = False) -> str:
-    return json.dumps(bench_document(pairs, include_timings), indent=1) + "\n"
+    return document_text(bench_document(pairs, include_timings))
 
 
 def format_table(pairs: Pairs, include_timings: bool = False) -> str:

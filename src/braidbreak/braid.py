@@ -16,9 +16,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import RelationValidationError
 from .field import PrimeField
-from .matrix import SquareMatrix
+from .matrix import SquareMatrix, gemm_mod
 
 
 @dataclass(frozen=True)
@@ -113,25 +115,37 @@ class Representation:
         self._validate()
 
     def _validate(self) -> None:
-        ident = SquareMatrix.identity(self.field, self.dim)
-        for i, (m, m_inv) in enumerate(self.gen_images, start=1):
-            if m.dim != self.dim or m_inv.dim != self.dim:
-                raise RelationValidationError(f"s_{i}: inconsistent dimension")
-            if m @ m_inv != ident:
-                raise RelationValidationError(f"s_{i}: stored inverse is wrong")
-        for i in range(1, self.n - 1):
-            a, b = self.gen_images[i - 1][0], self.gen_images[i][0]
-            if a @ b @ a != b @ a @ b:
-                raise RelationValidationError(
-                    f"braid relation fails for (s_{i}, s_{i + 1})"
-                )
-        for i in range(1, self.n):
-            for j in range(i + 2, self.n):
-                a, b = self.gen_images[i - 1][0], self.gen_images[j - 1][0]
-                if a @ b != b @ a:
-                    raise RelationValidationError(
-                        f"commutation fails for (s_{i}, s_{j})"
-                    )
+        """Check each relation family with batched products over the
+        stacked images, the commutations one generator at a time. A failure
+        names the first failing relation in the order inverses, braid
+        relations, commutations."""
+        f, m, images = self.field, self.dim, self.gen_images
+        for g, g_inv in images:
+            f.check_same(g.field)
+            f.check_same(g_inv.field)
+        k = next(  # the first image pair not of s_1's dimension
+            (i for i, (g, g_inv) in enumerate(images) if g.dim != m or g_inv.dim != m),
+            len(images),
+        )
+        if k:
+            mats = np.stack([g.a for g, _ in images[:k]])
+            invs = np.stack([g_inv.a for _, g_inv in images[:k]])
+            wrong = (gemm_mod(f, mats, invs) != f.identity_array(m)).any(axis=(1, 2))
+            if wrong.any():
+                raise RelationValidationError(f"s_{int(wrong.argmax()) + 1}: stored inverse is wrong")
+        if k < len(images):
+            raise RelationValidationError(f"s_{k + 1}: inconsistent dimension")
+        a, b = mats[:-1], mats[1:]
+        aba = gemm_mod(f, gemm_mod(f, a, b), a)
+        wrong = (aba != gemm_mod(f, gemm_mod(f, b, a), b)).any(axis=(1, 2))
+        if wrong.any():
+            i = int(wrong.argmax()) + 1
+            raise RelationValidationError(f"braid relation fails for (s_{i}, s_{i + 1})")
+        for i in range(1, self.n - 2):
+            fails = ~_commutes(f, mats[i - 1], mats[i + 1 :])
+            if fails.any():
+                j = i + 2 + int(fails.argmax())
+                raise RelationValidationError(f"commutation fails for (s_{i}, s_{j})")
 
     def image(self, letter: int) -> SquareMatrix:
         """Image of a signed letter (+i -> s_i, -i -> s_i^{-1})."""
@@ -145,13 +159,23 @@ class Representation:
 
 
 def evaluate(rep: Representation, word: BraidWord) -> SquareMatrix:
-    """Image of a braid word: ordered product of generator images."""
+    """Image of a braid word: the ordered product of its letters' images,
+    taken as a product tree, one batched product per level."""
     if word.n != rep.n:
         raise ValueError(f"word is on {word.n} strands, rep on {rep.n}")
-    out = SquareMatrix.identity(rep.field, rep.dim)
-    for a in word.letters:
-        out = out @ rep.image(a)
-    return out
+    if not word.letters:
+        return SquareMatrix.identity(rep.field, rep.dim)
+    level = np.stack([rep.image(a).a for a in word.letters])
+    while len(level) > 1:
+        even = len(level) & ~1
+        pairs = gemm_mod(rep.field, level[0:even:2], level[1:even:2])
+        level = np.concatenate([pairs, level[even:]])
+    return SquareMatrix(rep.field, level[0])
+
+
+def _commutes(field: PrimeField, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Whether the matrix x commutes with each matrix of the stack ys."""
+    return (gemm_mod(field, x, ys) == gemm_mod(field, ys, x)).all(axis=(1, 2))
 
 
 def _lk_pairs(n: int) -> list[tuple[int, int]]:
@@ -267,14 +291,14 @@ def commuting_subgroups(rep: Representation, split: int) -> CommutingPair:
     b_gens = tuple(
         LabeledGenerator(i, *rep.gen_images[i - 1]) for i in range(split + 1, n)
     )
+    # each image of A is checked against the whole stack of B's images
+    b_stack = np.stack([m.a for g in b_gens for m in (g.mat, g.inv)])
     for ga in a_gens:
-        for gb in b_gens:
-            for ma in (ga.mat, ga.inv):
-                for mb in (gb.mat, gb.inv):
-                    if ma @ mb != mb @ ma:
-                        raise RelationValidationError(
-                            f"s_{ga.index} and s_{gb.index} do not commute"
-                        )
+        ok = _commutes(rep.field, ga.mat.a, b_stack) & _commutes(rep.field, ga.inv.a, b_stack)
+        fails = ~ok.reshape(len(b_gens), 2).all(axis=1)
+        if fails.any():
+            gb = b_gens[int(fails.argmax())]
+            raise RelationValidationError(f"s_{ga.index} and s_{gb.index} do not commute")
     return CommutingPair(split, a_gens, b_gens)
 
 

@@ -9,7 +9,6 @@ stay deterministic.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from .protocol import (
     SCHEMA_VERSION,
     ProtocolParams,
     Transcript,
+    document_text,
     read_transcript,
     run_protocol,
     write_transcript,
@@ -126,7 +126,7 @@ def cmd_attack(args) -> int:
             dump_path = str(Path(args.out).with_suffix("")) + ".bases.json"
         else:
             dump_path = "attack.bases.json"
-        _write(dump_path, json.dumps(_bases_document(transcript), indent=1) + "\n")
+        _write(dump_path, document_text(_bases_document(transcript)))
         print(f"attack: bases -> {dump_path}")
     if args.fixture:
         _, fixture = _read(args.fixture)
@@ -172,7 +172,7 @@ def cmd_demo(args) -> int:
             "matches": matches,
             "per_trial": per_trial,
         }
-        _write(args.out, json.dumps(doc, indent=1) + "\n")
+        _write(args.out, document_text(doc))
     return 0 if matches == args.trials else 1
 
 

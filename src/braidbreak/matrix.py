@@ -179,9 +179,6 @@ class SquareMatrix:
         x[pivots] = inv
         return SquareMatrix(self.field, x)
 
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.a, self.field.identity_array(self.dim)))
-
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
@@ -192,7 +189,7 @@ class SquareMatrix:
 
     def to_rows(self) -> list[list[str]]:
         """Rows of decimal strings (the serialization form)."""
-        return [[str(x) for x in row] for row in self.a.tolist()]
+        return [list(map(str, row)) for row in self.a.tolist()]
 
     def __repr__(self):
         return f"SquareMatrix(dim={self.dim}, p={self.field.p})"
@@ -343,10 +340,15 @@ class EchelonState:
         """Coordinates of v in the originally inserted vectors, or None.
 
         v = c @ originals forces c = v[pivot_cols] @ inv; c is returned iff
-        that equation holds exactly on every column.
+        that equation holds exactly on every column. The check runs over
+        square rank x rank column blocks of originals, so it never splits
+        more of originals into limbs at once than the product with inv does.
         """
         f, vec = self.field, self._as_vec(v)
         c = gemm_mod(f, vec[None, self.pivot_cols], self.inv)
-        if not np.array_equal(gemm_mod(f, c, self.originals)[0], vec):
-            return None
+        step = max(self.rank or self.ambient, 1)  # one block when empty
+        for lo in range(0, self.ambient, step):
+            block = self.originals[:, lo : lo + step]
+            if not np.array_equal(gemm_mod(f, c, block)[0], vec[lo : lo + step]):
+                return None
         return c[0]

@@ -13,10 +13,14 @@ which tests use as an oracle.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import operator
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
+
+import numpy as np
 
 from .braid import (
     BraidWord,
@@ -202,8 +206,8 @@ def run_protocol(params: ProtocolParams) -> HonestRun:
     for name, formula in spec.values.items():
         toks = formula.split()
         for tok in toks:
-            if tok not in values:  # an inverse, computed on first use
-                values[tok] = values[tok.removesuffix("^-1")].inverse()
+            if tok not in values:  # an inverse factor, evaluated on first use
+                values[tok] = evaluate(rep, words[tok.removesuffix("^-1")].inverse())
         values[name] = functools.reduce(operator.matmul, [values[tok] for tok in toks])
 
     k_alice, k_bob = values["k_alice"], values["k_bob"]
@@ -265,10 +269,36 @@ def transcript_document(run: HonestRun, include_private: bool = False) -> dict:
     return doc
 
 
+def document_text(doc) -> str:
+    """json.dumps(doc, indent=1) plus a newline: the text of every artifact."""
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(obj, newline: str) -> str:
+    """json.dumps(obj, indent=1) for an obj nested as deep as newline, a
+    newline plus the spaces that indent obj's own line. Lists of strings
+    that need no escaping, such as matrix rows, are joined in one call; a
+    value other than a plain list or a dict with string keys is left to
+    json.dumps."""
+    kind, inner = type(obj), newline + " "
+    if kind is list and obj:
+        try:
+            flat = "".join(obj)
+        except TypeError:  # not a list of strings
+            flat = None
+        if flat is not None and len(_quote(flat)) == len(flat) + 2:
+            return f'[{inner}"' + f'",{inner}"'.join(obj) + f'"{newline}]'
+        items = f",{inner}".join(_encode(x, inner) for x in obj)
+        return f"[{inner}{items}{newline}]"
+    if kind is dict and obj and all(type(k) is str for k in obj):
+        items = f",{inner}".join(_quote(k) + ": " + _encode(v, inner) for k, v in obj.items())
+        return f"{{{inner}{items}{newline}}}"
+    return json.dumps(obj, indent=1).replace("\n", newline)
+
+
 def write_transcript(run: HonestRun, include_private: bool = False) -> str:
     """Serialize a run to the canonical transcript document text."""
-    doc = transcript_document(run, include_private)
-    return json.dumps(doc, indent=1) + "\n"
+    return document_text(transcript_document(run, include_private))
 
 
 @dataclass(frozen=True)
@@ -311,9 +341,9 @@ def _mat(field: PrimeField, rows, dim: int, name: str) -> SquareMatrix:
         and all(isinstance(row, list) and len(row) == dim for row in rows)
     ):
         raise TranscriptFormatError(f"transcript field {name} is not a {dim} x {dim} matrix")
-    if {type(x) for row in rows for x in row} <= _INT_TYPES:
+    if set(map(type, itertools.chain.from_iterable(rows))) <= _INT_TYPES:
         try:
-            return SquareMatrix(field, field.asarray([[int(x) for x in row] for row in rows]))
+            return SquareMatrix(field, _residues(field, rows, dim))
         except ValueError:
             pass  # a string that is not decimal, named below
     ints = [
@@ -321,6 +351,19 @@ def _mat(field: PrimeField, rows, dim: int, name: str) -> SquareMatrix:
         for i, row in enumerate(rows)
     ]
     return SquareMatrix(field, field.asarray(ints))
+
+
+def _residues(field: PrimeField, rows, dim: int) -> np.ndarray:
+    """Rows of ints and decimal strings as residues: read straight into
+    int64, or through python ints for an entry or a field beyond int64.
+    A string that is not decimal raises ValueError."""
+    if field.dtype is not object:
+        try:
+            flat = np.fromiter(map(int, itertools.chain.from_iterable(rows)), np.int64, dim * dim)
+            return np.remainder(flat, field.p).reshape(dim, dim)
+        except OverflowError:
+            pass
+    return field.asarray([[int(x) for x in row] for row in rows])
 
 
 def read_transcript(text: str) -> tuple[Transcript, FixtureData | None]:

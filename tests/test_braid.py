@@ -203,3 +203,132 @@ def test_split_range_enforced():
     for bad in (1, 3, 0, 7):
         with pytest.raises(ValueError):
             bb.commuting_subgroups(r, bad)
+
+
+# -- batched products and relation checks ------------------------------------
+
+def _bigint_product(r: bb.Representation, word: bb.BraidWord) -> list[list[int]]:
+    """Left-to-right product of the letters' images in python ints."""
+    p, m = r.field.p, r.dim
+    out = [[int(i == j) for j in range(m)] for i in range(m)]
+    for a in word.letters:
+        img = [[int(x) for x in row] for row in r.image(a).a.tolist()]
+        out = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*img)] for row in out]
+    return out
+
+
+@pytest.mark.parametrize("p", [bb.DEFAULT_PRIME, 2**62 - 57])
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 7, 16])
+def test_evaluate_tree_matches_left_to_right_product(p, length):
+    f = bb.PrimeField(p)
+    r = bb.lk_representation(f, 5, 3, 7)
+    rng = random.Random(length)
+    word = bb.BraidWord(5, tuple(rng.choice((1, -1)) * rng.randrange(1, 5) for _ in range(length)))
+    assert bb.evaluate(r, word).a.tolist() == _bigint_product(r, word)
+
+
+def _first_relation_failure(n, images):
+    """The message of the first failing relation, checked one pair at a
+    time in the order inverses, braid relations, commutations; None if all
+    hold."""
+    m = images[0][0].dim
+    for i, (g, g_inv) in enumerate(images, start=1):
+        if g.dim != m or g_inv.dim != m:
+            return f"s_{i}: inconsistent dimension"
+        if g @ g_inv != bb.SquareMatrix.identity(g.field, m):
+            return f"s_{i}: stored inverse is wrong"
+    for i in range(1, n - 1):
+        a, b = images[i - 1][0], images[i][0]
+        if a @ b @ a != b @ a @ b:
+            return f"braid relation fails for (s_{i}, s_{i + 1})"
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            a, b = images[i - 1][0], images[j - 1][0]
+            if a @ b != b @ a:
+                return f"commutation fails for (s_{i}, s_{j})"
+    return None
+
+
+def _pair(mat: bb.SquareMatrix) -> tuple[bb.SquareMatrix, bb.SquareMatrix]:
+    return mat, mat.inverse()
+
+
+def _shear(f: bb.PrimeField, m: int, i: int, j: int) -> bb.SquareMatrix:
+    """I + E_ij: commutes with every Burau image that fixes e_i and e_j."""
+    a = f.identity_array(m)
+    a[i, j] = 1
+    return bb.SquareMatrix(f, a)
+
+
+def _relation_cases():
+    lk, bu = rep("lk", 6), rep("burau", 6)
+    f = lk.field
+    scale = bb.SquareMatrix(f, f.identity_array(lk.dim) * 5)
+    other = rep("lk", 5)
+    g = _shear(f, 6, 0, 5)  # mixes strands 1 and 6, commutes with s_4's image
+    conj = g @ bu.gen_images[4][0] @ g.inverse()
+    cases = {
+        "inverses s_2 and s_3": (lk, {1: (lk.gen_images[1][0], lk.gen_images[1][0]),
+                                      2: (lk.gen_images[2][0], lk.gen_images[2][0])}),
+        "inverse s_1, dimension s_3": (lk, {0: (lk.gen_images[0][0], lk.gen_images[1][1]),
+                                            2: other.gen_images[0]}),
+        "dimension s_2": (lk, {1: other.gen_images[1]}),
+        "dimension of the inverse of s_1": (lk, {0: (lk.gen_images[0][0], other.gen_images[0][1])}),
+        "scaled s_3": (lk, {2: _pair(scale @ lk.gen_images[2][0])}),
+        "s_1 and s_4 swapped": (lk, {0: lk.gen_images[3], 3: lk.gen_images[0]}),
+        "s_5 conjugated": (bu, {4: _pair(conj)}),
+        "honest": (bu, {}),
+    }
+    for name, (r, changes) in cases.items():
+        images = [changes.get(k, pair) for k, pair in enumerate(r.gen_images)]
+        yield pytest.param(r.field, images, id=name)
+
+
+@pytest.mark.parametrize("f,images", _relation_cases())
+def test_relation_checks_name_the_first_failure(f, images):
+    expected = _first_relation_failure(6, images)
+    if expected is None:
+        bb.Representation(f, 6, images, (None, 1))
+        return
+    with pytest.raises(bb.RelationValidationError) as exc:
+        bb.Representation(f, 6, images, (None, 1))
+    assert str(exc.value) == expected
+
+
+def test_relation_cases_reach_every_family():
+    messages = {_first_relation_failure(6, c.values[1]) for c in _relation_cases()}
+    assert {m.split()[0] if m else None for m in messages} == {
+        "s_1:", "s_2:", "braid", "commutation", None}
+    assert "commutation fails for (s_1, s_5)" in messages
+
+
+def _first_commutation_failure(rep_, split):
+    """commuting_subgroups' message, checked one product pair at a time."""
+    for i in range(1, split):
+        for j in range(split + 1, rep_.n):
+            for ma in rep_.gen_images[i - 1]:
+                for mb in rep_.gen_images[j - 1]:
+                    if ma @ mb != mb @ ma:
+                        return f"s_{i} and s_{j} do not commute"
+    return None
+
+
+@pytest.mark.parametrize("k,shear,inverse_only", [
+    (5, (1, 6), False),  # s_6, sheared with strand 2 of A
+    (5, (1, 6), True),  # only the stored inverse of s_6
+    (3, (1, 4), False),  # s_4, sheared with strand 2 of A
+    (1, (2, 6), True),  # only the stored inverse of s_2, sheared with strand 7 of B
+])
+def test_commuting_subgroups_checks_images_changed_after_construction(k, shear, inverse_only):
+    honest = rep("burau", 7)
+    r = bb.Representation(honest.field, 7, list(honest.gen_images), honest.params)
+    split = 3  # A = s_1, s_2; B = s_4, s_5, s_6
+    g = _shear(r.field, 7, *shear)
+    mat, inv = r.gen_images[k]
+    conj, conj_inv = g @ mat @ g.inverse(), g @ inv @ g.inverse()
+    r.gen_images[k] = (mat, conj_inv) if inverse_only else (conj, conj_inv)
+    expected = _first_commutation_failure(r, split)
+    assert expected is not None
+    with pytest.raises(bb.RelationValidationError) as exc:
+        bb.commuting_subgroups(r, split)
+    assert str(exc.value) == expected

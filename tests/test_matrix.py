@@ -144,6 +144,35 @@ def test_solve_coordinates_not_in_span():
     assert state.solve(f.asarray([0, 3, 1])) is None
 
 
+def test_solve_checks_every_column_block():
+    # rank 2 of ambient 7: the check runs over column blocks [0, 2), [2, 4),
+    # [4, 6) and [6, 7); a mismatch in any one of them is caught
+    f = field()
+    state = state_of(f, [[1, 0, 2, 0, 0, 0, 3], [0, 1, 0, 0, 5, 0, 0]])
+    good = [3, 4, 6, 0, 20, 0, 9]
+    assert list(state.solve(f.asarray(good))) == [3, 4]
+    for j in range(2, 7):
+        bad = list(good)
+        bad[j] += 1
+        assert state.solve(f.asarray(bad)) is None
+    assert state_of(f, [[0, 0, 1]]).solve(f.asarray([0, 0, 0])).tolist() == [0]
+    empty = EchelonState(f, 5)
+    assert empty.solve(f.asarray([0] * 5)).tolist() == []
+    assert empty.solve(f.asarray([0, 0, 0, 1, 0])) is None
+
+
+def test_solve_counts_one_whole_check():
+    f = bb.PrimeField()
+    rng = random.Random(11)
+    rank, amb = 5, 23
+    state = state_of(f, [[rng.randrange(f.p) for _ in range(amb)] for _ in range(rank)])
+    snap = f.ops.snapshot()
+    state.solve(state.originals[0])
+    mul, add, _ = f.ops.delta(snap)
+    # c = v[pivots] inv, then c originals over all columns
+    assert (mul, add) == (rank * rank + rank * amb, rank * (rank - 1) + amb * (rank - 1))
+
+
 def test_rank_never_exceeds_ambient():
     f = field()
     rng = random.Random(9)

@@ -1,5 +1,6 @@
 """Honest protocol runs, key agreement, and the transcript document."""
 
+import hashlib
 import json
 import random
 
@@ -179,3 +180,118 @@ def test_read_transcript_checks_split_and_generator_indices(mutate, field):
     mutate(doc)
     with pytest.raises(bb.TranscriptFormatError, match=field):
         bb.read_transcript(json.dumps(doc))
+
+
+# -- the transcript writer and reader ----------------------------------------
+
+# SHA-256 of write_transcript(run, include_private) for (protocol, rep, n,
+# seed): (public, private). A change of these bytes is a format change.
+TRANSCRIPT_DIGESTS = {
+    (1, "lk", 5, 1): ("5e3173d095668d760600f56bf6b5b6b6dca6c9df88185563c0556e1ddd206dd6",
+                      "63dbdebb10deabc103ed511510a2a439cb7f344cf7ddc86f8c4b52df6d394373"),
+    (1, "burau", 5, 1): ("2aeef44e8b2ae15e0df0663ca68f0f39eb55b0c82bdcef89c9929cea3c79bf6f",
+                         "048c33007adb3674bf5b79e9960505000ff00abcc5cb1959d20a53283ab426f2"),
+    (2, "lk", 5, 1): ("eb7b864f4e809ad7dfd88c57b59d5160e63209b7bcf245cf5632b7a9ad8959c6",
+                      "1bbb396de5baa7fdf26bace25d3ac25fe67b82103674ca36319406453ef7a6c5"),
+    (2, "burau", 5, 1): ("d5499d68ae194a990c17294aac84108be5831804797df64fe5adf3baeb17388c",
+                         "a7cdfd0654b370d48e6670d85d6933e4e0fffa5b5b8c278923e351bb68a1243b"),
+    (1, "lk", 8, 1): ("15554101f4ac465b33d1f0f1c0c6930313c8b1655411e2855142deb064a7310b",
+                      "a1027c1176cd85af2f73d4fcd385f74f37a16754f6f7701da87b1f403d195b29"),
+    (2, "lk", 8, 1): ("1242e2030e73bc29d9dca3c1988ade177dfbe3644644f58267deb90c5b17fb05",
+                      "f0ce6c5500c6069c0d4e6e666f056e1dc2083eea24c321668e5ea1e6894c3aa7"),
+}
+
+
+@pytest.mark.parametrize("config", TRANSCRIPT_DIGESTS)
+def test_transcript_bytes_pinned(config):
+    run = honest_run(*config)
+    got = tuple(
+        hashlib.sha256(bb.write_transcript(run, include_private=private).encode()).hexdigest()
+        for private in (False, True)
+    )
+    assert got == TRANSCRIPT_DIGESTS[config]
+
+
+def _random_json(rng: random.Random, depth: int = 0):
+    """A random document: nested lists and dicts, matrices of strings."""
+    strings = ["0", "123", "", "é", "a\"b", "\\", "\n", "\x7f", "日本", "\ud83d", "1e3"]
+    kind = rng.randrange(8 if depth < 4 else 3)
+    if kind == 0:
+        return rng.choice(strings)
+    if kind == 1:
+        return rng.choice([0, -7, 10**30, 1.5, float("inf"), True, None])
+    if kind == 2:  # a matrix, sometimes with one entry that is not decimal
+        rows = [[str(rng.randrange(1000)) for _ in range(3)] for _ in range(rng.randrange(4))]
+        if rows and rng.random() < 0.5:
+            rows[-1][rng.randrange(3)] = rng.choice(strings[2:] + [7])
+        return rows
+    if kind in (3, 4):
+        return [_random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 5:
+        return tuple(_random_json(rng, depth + 1) for _ in range(rng.randrange(3)))
+    keys = [rng.choice(["a", "é", "", "k\"", 3]) for _ in range(rng.randrange(4))]
+    return {k: _random_json(rng, depth + 1) for k in keys}
+
+
+def test_document_text_is_json_dumps_indent_1():
+    rng = random.Random(0)
+    docs = [[], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}], ""]
+    docs += [[["12", "é"], ["3", "4"]], [["1", "x\"y"]], [["1", " "]], [["0x11", "-5"]]]
+    docs += [_random_json(rng) for _ in range(300)]
+    for doc in docs:
+        assert bb.protocol.document_text(doc) == json.dumps(doc, indent=1) + "\n"
+
+
+def test_artifacts_are_json_dumps_indent_1(tmp_path):
+    from braidbreak.bench import bench_document, bench_text
+    from braidbreak.cli import _bases_document
+
+    pairs = []
+    for protocol_id in (1, 2):
+        run = honest_run(protocol_id, "lk", 5, seed=3)
+        report = bb.attack_transcript(run.transcript)
+        for timings in (False, True):
+            assert report.to_text(timings) == json.dumps(
+                report.to_document(timings), indent=1) + "\n"
+        doc = _bases_document(run.transcript)
+        assert bb.protocol.document_text(doc) == json.dumps(doc, indent=1) + "\n"
+        pairs.append((3, report))
+    for timings in (False, True):
+        assert bench_text(pairs, timings) == json.dumps(
+            bench_document(pairs, timings), indent=1) + "\n"
+
+
+P = bb.DEFAULT_PRIME
+
+
+@pytest.mark.parametrize("row,expected", [
+    ([10**30, -10**30, str(10**30), "-" + str(10**30)], [10**30, -10**30, 10**30, -10**30]),
+    ([-5, "-5", -P, "-1"], [-5, -5, -P, -1]),
+    ([P, str(P + 3), 2**63, 2**64 + 1], [P, P + 3, 2**63, 2**64 + 1]),
+    ([1, "2", 3, "4"], [1, 2, 3, 4]),
+    ([" 12 ", "1_0", "+7", "١٢"], [12, 10, 7, 12]),  # int()'s own rule
+    ([True, True, True, True], "transcript field x[0][0] is not an integer: True"),
+    ([1, 2, False, 4], "transcript field x[0][2] is not an integer: False"),
+    ([1.0, 2.0, 3.0, 4.0], "transcript field x[0][0] is not an integer: 1.0"),
+    ([1, "2", 3.5, "4"], "transcript field x[0][2] is not an integer: 3.5"),
+    ([1, "0x11", "1e3", "4"], "transcript field x[0][1] is not an integer: '0x11'"),
+    (["1", "2", "3", ""], "transcript field x[0][3] is not an integer: ''"),
+    ([10**30, "1.5", 3, 4], "transcript field x[0][1] is not an integer: '1.5'"),
+    ([1, 2, 3, None], "transcript field x[0][3] is not an integer: None"),
+])
+@pytest.mark.parametrize("p", [P, 2**62 - 57])
+def test_read_transcript_matrix_entries(row, expected, p):
+    # expected: the entries as integers, or the error message
+    run = honest_run(1, "burau", 4, seed=5) if p == P else bb.run_protocol(
+        bb.ProtocolParams(protocol_id=1, n=4, rep_kind="burau", p=p, seed=5))
+    doc = json.loads(bb.write_transcript(run))
+    doc["x"][0] = row
+    if isinstance(expected, str):
+        with pytest.raises(bb.TranscriptFormatError) as exc:
+            bb.read_transcript(json.dumps(doc))
+        assert str(exc.value) == expected
+        return
+    t, _ = bb.read_transcript(json.dumps(doc))
+    assert t.x.a[0].tolist() == [x % p for x in expected]
+    assert t.x.a[1:].tolist() == run.transcript.x.a[1:].tolist()
+    assert t.x.a.dtype == run.transcript.x.a.dtype
