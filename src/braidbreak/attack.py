@@ -15,7 +15,9 @@ protocol 2), so x lies in the built span; u differs from w by outer private
 factors from the opposite subgroup, which commute past every basis word and
 cancel against the shields on x. Stages 2 and 3 repeat the move on h and z.
 Only transcript fields are consumed; the honest run's private state has no
-access path into this module.
+access path into this module; the platform, the images of the Artin
+generators, is built again from the transcript's rep_kind, n, q, t and split,
+and the listed a_gens and b_gens must equal that build.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import MalformedTranscriptError, NotInSpanError
+from .braid import commuting_subgroups, representation
+from .errors import (
+    MalformedTranscriptError, NotInSpanError, RelationValidationError, TranscriptFormatError,
+)
 from .matrix import SquareMatrix
 from .protocol import PROTOCOLS, SCHEMA_VERSION, Transcript, document_text
 from .span import SideSpec, build_decorated_basis, express, substitute
@@ -122,12 +127,27 @@ def stage_bases(t: Transcript):
     the left and the right algebra (protocol 1: w = g3 f1 d1 c1 h c2 d2 f2
     g4), so its span is P V_h Q and the three spans have one dimension. A
     stage whose basis dim differs from stage 1's raises
-    MalformedTranscriptError.
+    MalformedTranscriptError. Before stage 1, a q or t the platform's
+    constructor rejects raises TranscriptFormatError, and a listed generator
+    matrix or inverse that differs from the rebuilt platform raises
+    RelationValidationError naming the first such field in listed order.
     """
-    gens = {"A": t.a_gens, "B": t.b_gens}
+    params = "fields q, t" if t.rep_kind == "lk" else "field t"  # Burau reads no q
+    try:
+        rep = representation(t.field, t.rep_kind, t.n, t.q, t.t)
+    except ValueError as e:
+        raise TranscriptFormatError(f"transcript {params}: {e}") from e
+    pair = commuting_subgroups(rep, t.split)
+    for key in ("a_gens", "b_gens"):
+        for i, (g, r) in enumerate(zip(getattr(t, key), getattr(pair, key), strict=True)):
+            for part, mat, want in (("matrix", g.mat, r.mat), ("inverse", g.inv, r.inv)):
+                if mat != want:
+                    raise RelationValidationError(
+                        f"transcript field {key}[{i}].{part} differs from the {t.rep_kind} "
+                        f"platform rebuilt from the transcript's n, split and {params}"
+                    )
+    gens = {"A": pair.a_gens, "B": pair.b_gens}
     sides = SideSpec.mixed(*(gens[group] for group in PROTOCOLS[t.protocol_id].sides))
-    # a wrong listed inverse would silently skew every span built below
-    sides.validate()
     for stage_no, (core_name, target_name) in enumerate(STAGES, 1):
         core = getattr(t, core_name)
         if not core.a.any():

@@ -20,7 +20,8 @@ class NotInSpanError(BraidbreakError):
 
 class RelationValidationError(BraidbreakError):
     """A representation's generator images violate the braid relations
-    or are not invertible, or a listed inverse image is wrong."""
+    or are not invertible, or a transcript's listed generator matrix or
+    inverse differs from the platform rebuilt from its parameters."""
 
 
 class ProtocolInternalError(BraidbreakError):

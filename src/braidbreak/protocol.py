@@ -26,11 +26,10 @@ from .braid import (
     BraidWord,
     LabeledGenerator,
     Representation,
-    burau_representation,
     commuting_subgroups,
     default_split,
     evaluate,
-    lk_representation,
+    representation,
     sample_word,
 )
 from .errors import ProtocolInternalError, TranscriptFormatError
@@ -188,10 +187,7 @@ def run_protocol(params: ProtocolParams) -> HonestRun:
     # draw order is part of the determinism contract: q, t, h, the factors
     q = rng.randrange(2, field.p)
     t = rng.randrange(1, field.p)
-    if params.rep_kind == "lk":
-        rep = lk_representation(field, n, q, t)
-    else:
-        rep = burau_representation(field, n, t)
+    rep = representation(field, params.rep_kind, n, q, t)
     split = params.split if params.split is not None else default_split(n)
     pair = commuting_subgroups(rep, split)
     indices = {"A": range(1, split), "B": range(split + 1, n)}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInSpanError, RelationValidationError
+from .errors import NotInSpanError
 from .field import PrimeField
 from .matrix import EchelonState, SquareMatrix, gemm_mod
 
@@ -88,33 +88,6 @@ class SideSpec:
             right = left if self.right == self.left else _close(field, m, self.right)
             self._algebras[key] = (left, right)
         return self._algebras[key]
-
-    def validate(self) -> None:
-        """Check listed-inverse closure and invertibility on both sides, one
-        batched product per side.
-
-        Raises RelationValidationError naming the side and the first label
-        that fails, in listed order.
-        """
-        for name, side in (("left", self.left), ("right", self.right)):
-            by_label = dict(side)
-            k = next(  # the first label whose inverse is not listed
-                (i for i, (label, _) in enumerate(side) if -label not in by_label), len(side)
-            )
-            if k:
-                field, m = side[0][1].field, side[0][1].dim
-                mats = np.stack([mat.a for _, mat in side[:k]])
-                invs = np.stack([by_label[-label].a for label, _ in side[:k]])
-                wrong = (gemm_mod(field, mats, invs) != field.identity_array(m)).any(axis=(1, 2))
-                if wrong.any():
-                    raise RelationValidationError(
-                        f"{name} multiplier label {side[int(wrong.argmax())][0]}: "
-                        "listed inverse is wrong"
-                    )
-            if k < len(side):
-                raise RelationValidationError(
-                    f"{name} multiplier label {side[k][0]}: inverse is not listed"
-                )
 
 
 def _close(field: PrimeField, m: int, side: tuple[SideEntry, ...]) -> Algebra:

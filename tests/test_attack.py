@@ -3,11 +3,13 @@ public-transcript information boundary."""
 
 import dataclasses
 import gc
+import re
 import weakref
 
 import pytest
 
 import braidbreak as bb
+import braidbreak.attack
 from braidbreak.protocol import derive_trial_seed
 from braidbreak.span import build_decorated_basis
 
@@ -249,9 +251,107 @@ def test_wrong_listed_inverse_raises_before_stage_1(protocol_id, side):
     bad[0, 0] = (int(bad[0, 0]) + 1) % t.p
     broken = dataclasses.replace(t, **{key: getattr(t, key)[:-1] + (
         bb.LabeledGenerator(g.index, g.mat, bb.SquareMatrix(t.field, bad)),)})
+    i = len(getattr(t, key)) - 1
     with pytest.raises(bb.RelationValidationError,
-                       match=f"{side} multiplier label {g.index}: listed inverse"):
+                       match=re.escape(f"transcript field {key}[{i}].inverse differs")):
         bb.attack_transcript(broken)
+
+
+def _bump(m: bb.SquareMatrix) -> bb.SquareMatrix:
+    a = m.a.copy()
+    a[0, 0] = (int(a[0, 0]) + 1) % m.field.p
+    return bb.SquareMatrix(m.field, a)
+
+
+def _first_platform_mismatch(t):
+    """stage_bases' first named field, checked one listed field at a time
+    against the images of a representation built here."""
+    if t.rep_kind == "lk":
+        r = bb.lk_representation(t.field, t.n, t.q, t.t)
+    else:
+        r = bb.burau_representation(t.field, t.n, t.t)
+    for key, first in (("a_gens", 1), ("b_gens", t.split + 1)):
+        for i, g in enumerate(getattr(t, key)):
+            mat, inv = r.gen_images[first + i - 1]
+            if g.mat != mat:
+                return f"{key}[{i}].matrix"
+            if g.inv != inv:
+                return f"{key}[{i}].inverse"
+    return None
+
+
+def _platform_cases():
+    """(transcript, changes): changes maps (key, i) to the listed (matrix,
+    inverse) that replaces entry i of key."""
+    for kind in ("lk", "burau"):
+        t = honest_run(2, kind, 6, seed=3).transcript  # A = s_1, s_2; B = s_4, s_5
+        (a0, a1), (b0, b1) = t.a_gens, t.b_gens
+        cases = {
+            "honest": {},
+            "b_gens[1].inverse": {("b_gens", 1): (b1.mat, _bump(b1.inv))},
+            "a inverse before b matrix": {("a_gens", 1): (a1.mat, _bump(a1.inv)),
+                                          ("b_gens", 0): (_bump(b0.mat), b0.inv)},
+            "matrix and inverse of one entry": {("a_gens", 0): (_bump(a0.mat), _bump(a0.inv))},
+            "entries swapped": {("b_gens", 0): (b1.mat, b1.inv), ("b_gens", 1): (b0.mat, b0.inv)},
+            "matrix and inverse swapped": {("a_gens", 1): (a1.inv, a1.mat)},
+            "product with the other subgroup": {("b_gens", 1): (b1.mat @ a0.mat, a0.inv @ b1.inv)},
+        }
+        for name, changes in cases.items():
+            yield pytest.param(t, changes, id=f"{kind}-{name}")
+
+
+@pytest.mark.parametrize("t,changes", _platform_cases())
+def test_stage_bases_names_the_first_mismatching_field(monkeypatch, t, changes):
+    gens = {key: list(getattr(t, key)) for key in ("a_gens", "b_gens")}
+    for (key, i), (mat, inv) in changes.items():
+        gens[key][i] = bb.LabeledGenerator(gens[key][i].index, mat, inv)
+    broken = dataclasses.replace(t, **{key: tuple(v) for key, v in gens.items()})
+    expected = _first_platform_mismatch(broken)
+    assert (expected is None) == (not changes)
+    if expected is None:
+        assert next(braidbreak.attack.stage_bases(broken))[0] == 1
+        return
+    monkeypatch.setattr(braidbreak.attack, "build_decorated_basis", None)  # stage 1 never starts
+    with pytest.raises(bb.RelationValidationError) as exc:
+        next(braidbreak.attack.stage_bases(broken))
+    assert str(exc.value).startswith(f"transcript field {expected} differs from the {t.rep_kind} ")
+
+
+def _tampered(t):
+    """(name, transcript) pairs: generator, inverse, q and t tampering."""
+    def times(g, other):
+        return bb.LabeledGenerator(g.index, g.mat @ other.mat, other.inv @ g.inv)
+
+    a0, b0 = t.a_gens[0], t.b_gens[0]
+    yield "a_gens[0] times b_gens[0]", dataclasses.replace(
+        t, a_gens=(times(a0, b0),) + t.a_gens[1:])
+    yield "b_gens[0] times a_gens[0]", dataclasses.replace(
+        t, b_gens=(times(b0, a0),) + t.b_gens[1:])
+    yield "b_gens[0] inverse perturbed", dataclasses.replace(
+        t, b_gens=(bb.LabeledGenerator(b0.index, b0.mat, _bump(b0.inv)),) + t.b_gens[1:])
+    for name in ("q", "t"):
+        for value in (0, 1, getattr(t, name) + 1):
+            yield f"{name} := {value}", dataclasses.replace(t, **{name: value})
+
+
+@pytest.mark.parametrize("protocol_id", [1, 2])
+@pytest.mark.parametrize("rep_kind,n", [("lk", 5), ("lk", 6), ("burau", 6)])
+def test_tamper_corpus_gives_no_silent_wrong_key(monkeypatch, protocol_id, rep_kind, n):
+    # seeds 0-4; every case raises a named error before stage 1, except a
+    # Burau q edit, which rebuilds the same platform and recovers the key
+    real, builds = braidbreak.attack.build_decorated_basis, []
+    monkeypatch.setattr(braidbreak.attack, "build_decorated_basis",
+                        lambda *a: builds.append(a) or real(*a))
+    for seed in range(5):
+        run = honest_run(protocol_id, rep_kind, n, seed=seed)
+        for name, t in _tampered(run.transcript):
+            del builds[:]
+            if rep_kind == "burau" and name.startswith("q "):
+                assert bb.verify_against_oracle(bb.attack_transcript(t), run), name
+                continue
+            with pytest.raises((bb.RelationValidationError, bb.TranscriptFormatError)):
+                bb.attack_transcript(t)
+            assert builds == [], name
 
 
 # Counted operations are deterministic per seed, so they are pinned exactly:
@@ -259,10 +359,10 @@ def test_wrong_listed_inverse_raises_before_stage_1(protocol_id, side):
 # CHANGES.md, with the old and the new values.
 PINNED_COUNTS = [
     # (protocol, rep, stage dims, (mul, add, inv)) at n=5, seed 31
-    (1, "lk", (40, 40, 40), (1733831, 1638341, 134)),
-    (1, "burau", (9, 9, 9), (40241, 33716, 32)),
-    (2, "lk", (31, 31, 31), (741463, 684156, 110)),
-    (2, "burau", (8, 8, 8), (25542, 20666, 31)),
+    (1, "lk", (40, 40, 40), (1756631, 1658941, 174)),
+    (1, "burau", (9, 9, 9), (43191, 36116, 52)),
+    (2, "lk", (31, 31, 31), (766263, 706556, 150)),
+    (2, "burau", (8, 8, 8), (28742, 23266, 51)),
 ]
 
 

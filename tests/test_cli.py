@@ -351,8 +351,27 @@ def test_attack_rejects_wrong_listed_inverse(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["attack", str(t)]) == 1
     err = capsys.readouterr().err
-    label = doc["b_gens"][0]["index"]
-    assert f"RelationValidationError: left multiplier label {label}" in err
+    assert err.startswith("error: RelationValidationError: transcript field b_gens[0].inverse ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rep,field,value,named", [
+    ("lk", "q", "0", "TranscriptFormatError: transcript fields q, t: need q not in {0, 1}"),
+    ("lk", "q", "1", "TranscriptFormatError: transcript fields q, t: need q not in {0, 1}"),
+    ("lk", "t", "0", "TranscriptFormatError: transcript fields q, t: need q not in {0, 1}"),
+    ("burau", "t", "0", "TranscriptFormatError: transcript field t: need t != 0"),
+])
+def test_attack_rejects_a_q_or_t_the_constructor_rejects(tmp_path, capsys, rep, field, value, named):
+    t = tmp_path / "t.json"
+    run_cli(["simulate", "--rep", rep, "--n", "5", "--seed", "13", "--out", str(t)])
+    doc = json.loads(t.read_text())
+    doc[field] = value
+    t.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["attack", str(t)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("which", ["transcript", "fixture"])

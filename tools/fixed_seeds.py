@@ -6,9 +6,11 @@ Seeds: protocols 1 and 2 x lk and Burau x n 4, 5, 6 x seeds 1, 2, 3, plus
 protocols 1 and 2 on lk n=8 seed 1. For each, OUT_DIR gets the transcript
 and fixture of `simulate --out --fixture`, the report and bases of
 `attack --out --fixture --dump-bases`, and the CLI's stdout with OUT_DIR
-masked. Run it on two checkouts; `diff -r` of the two directories is empty
-when they behave the same. The checkout's `src` is imported, so no install
-is needed.
+masked. For seeds 1 and 2 it also writes the summary of `demo --out` (lk
+n=5, two trials) and the records of `bench --out` (lk n=4, 5, both
+protocols), with their stdout. Run it on two checkouts; `diff -r` of the
+two directories is empty when they behave the same. The checkout's `src`
+is imported, so no install is needed.
 """
 
 from __future__ import annotations
@@ -31,16 +33,30 @@ SEEDS = [
 ] + [(1, "lk", 8, 1), (2, "lk", 8, 1)]
 
 
-def run(out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+DEMO_BENCH_SEEDS = (1, 2)
+
+
+def _commands(out_dir: Path):
+    """(file stem, CLI invocations) for every fixed seed."""
     for protocol, rep, n, seed in SEEDS:
         stem = out_dir / f"p{protocol}-{rep}-n{n}-s{seed}"
         t, f, r = (f"{stem}.{kind}.json" for kind in ("t", "f", "r"))
-        commands = [
+        yield stem, [
             ["simulate", "--protocol", str(protocol), "--rep", rep, "--n", str(n),
              "--seed", str(seed), "--out", t, "--fixture", f],
             ["attack", t, "--out", r, "--fixture", f, "--dump-bases"],
         ]
+    for seed in DEMO_BENCH_SEEDS:
+        stem = out_dir / f"demo-lk-n5-s{seed}"
+        yield stem, [["demo", "--n", "5", "--trials", "2", "--seed", str(seed),
+                      "--out", f"{stem}.json"]]
+        stem = out_dir / f"bench-lk-n4-5-s{seed}"
+        yield stem, [["bench", "--n-list", "4,5", "--seed", str(seed), "--out", f"{stem}.json"]]
+
+
+def run(out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for stem, commands in _commands(out_dir):
         stdout = io.StringIO()
         for argv in commands:
             with contextlib.redirect_stdout(stdout):
