@@ -302,6 +302,34 @@ def test_relation_cases_reach_every_family():
     assert "commutation fails for (s_1, s_5)" in messages
 
 
+@pytest.mark.parametrize("k,shear,inverse_only", [
+    (5, (1, 6), False),  # s_6, sheared with strand 2 of A
+    (5, (1, 6), True),  # only the stored inverse of s_6
+    (3, (1, 4), False),  # s_4, sheared with strand 2 of A
+    (1, (2, 6), True),  # only the stored inverse of s_2, sheared with strand 7 of B
+])
+def test_commuting_subgroups_checks_images_changed_after_construction(k, shear, inverse_only):
+    # commuting_subgroups no longer re-checks the commutations: an image
+    # cannot be changed in place, and a Representation holding the changed
+    # image is refused when it is built, before a split can be taken
+    honest = rep("burau", 7)
+    r = bb.Representation(honest.field, 7, list(honest.gen_images), honest.params)
+    g = _shear(r.field, 7, *shear)
+    mat, inv = r.gen_images[k]
+    conj, conj_inv = g @ mat @ g.inverse(), g @ inv @ g.inverse()
+    changed = (mat, conj_inv) if inverse_only else (conj, conj_inv)
+    with pytest.raises(TypeError):
+        r.gen_images[k] = changed
+    assert r.gen_images[k] == (mat, inv)
+    images = list(r.gen_images)
+    images[k] = changed
+    expected = _first_relation_failure(7, images)
+    assert expected is not None
+    with pytest.raises(bb.RelationValidationError) as exc:
+        bb.Representation(r.field, 7, images, r.params)
+    assert str(exc.value) == expected
+
+
 def test_commuting_subgroups_only_reads_the_validated_images():
     # the commutations were proved when the Representation was built, and
     # its images cannot be reassigned afterwards
