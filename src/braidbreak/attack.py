@@ -127,10 +127,13 @@ def stage_bases(t: Transcript):
     the left and the right algebra (protocol 1: w = g3 f1 d1 c1 h c2 d2 f2
     g4), so its span is P V_h Q and the three spans have one dimension. A
     stage whose basis dim differs from stage 1's raises
-    MalformedTranscriptError. Before stage 1, a q or t the platform's
-    constructor rejects raises TranscriptFormatError, and a listed generator
-    matrix or inverse that differs from the rebuilt platform raises
-    RelationValidationError naming the first such field in listed order.
+    MalformedTranscriptError. Before stage 1, in this order: a q or t the
+    platform's constructor rejects raises TranscriptFormatError; a listed
+    generator matrix or inverse that differs from the rebuilt platform
+    raises RelationValidationError naming the first such field in listed
+    order; and a zero message, which no braid image is, raises
+    MalformedTranscriptError naming the stage that reads it and that
+    stage's core (x and u: stage 1, core w; y: 2, h; v: 3, z).
     """
     params = "fields q, t" if t.rep_kind == "lk" else "field t"  # Burau reads no q
     try:
@@ -146,15 +149,19 @@ def stage_bases(t: Transcript):
                         f"transcript field {key}[{i}].{part} differs from the {t.rep_kind} "
                         f"platform rebuilt from the transcript's n, split and {params}"
                     )
+    # every message is a braid image, so none is zero; stage 1 also reads u
+    for stage_no, (core_name, target_name) in enumerate(STAGES, 1):
+        names = (core_name, target_name, "u") if stage_no == 1 else (core_name, target_name)
+        for name in names:
+            if not getattr(t, name).a.any():
+                what = "zero matrix" if name == core_name else f"message {name} is a zero matrix"
+                raise MalformedTranscriptError(
+                    stage_no, core_name, f"stage {stage_no}, core {core_name}: {what}"
+                )
     gens = {"A": pair.a_gens, "B": pair.b_gens}
     sides = SideSpec.mixed(*(gens[group] for group in PROTOCOLS[t.protocol_id].sides))
     for stage_no, (core_name, target_name) in enumerate(STAGES, 1):
-        core = getattr(t, core_name)
-        if not core.a.any():
-            raise MalformedTranscriptError(
-                stage_no, core_name, f"stage {stage_no}, core {core_name}: zero matrix"
-            )
-        basis = build_decorated_basis(core, sides)
+        basis = build_decorated_basis(getattr(t, core_name), sides)
         if stage_no == 1:
             first = basis.dim
         elif basis.dim != first:

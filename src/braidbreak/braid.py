@@ -199,8 +199,6 @@ def lk_representation(field: PrimeField, n: int, q: int, t: int) -> Representati
     """
     p = field.p
     qv, tv = int(q) % p, int(t) % p
-    if n < 3:
-        raise ValueError(f"need at least 3 strands, got {n}")
     if qv in (0, 1) or tv == 0:
         raise ValueError("need q not in {0, 1} and t != 0")
     pairs = _lk_pairs(n)
@@ -248,8 +246,6 @@ def burau_representation(field: PrimeField, n: int, t: int) -> Representation:
     """
     p = field.p
     tv = int(t) % p
-    if n < 3:
-        raise ValueError(f"need at least 3 strands, got {n}")
     if tv == 0:
         raise ValueError("need t != 0")
     images = []

@@ -29,10 +29,11 @@ class ProtocolInternalError(BraidbreakError):
 
 
 class MalformedTranscriptError(BraidbreakError):
-    """A transcript is inconsistent with the protocol it claims: an attack
-    stage met a zero core or failed to express a public message in its
-    subspace basis. core names the stage's core, "w", "h" or "z"; rank is
-    the dimension of that basis, None where none was built."""
+    """A transcript is inconsistent with the protocol it claims: a message
+    an attack stage reads is zero, a stage's basis dim differs from stage
+    1's, or a stage failed to express a public message in its subspace
+    basis. core names the stage's core, "w", "h" or "z"; rank is the
+    dimension of that basis, None where none was built."""
 
     def __init__(self, stage: int, core: str, message: str, rank: int | None = None):
         super().__init__(message)

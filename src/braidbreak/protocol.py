@@ -330,36 +330,28 @@ def _int(doc: dict, key: str, where: str = "") -> int:
 
 
 def _mat(field: PrimeField, rows, dim: int, name: str) -> SquareMatrix:
-    """A dim x dim matrix given as rows whose entries follow _as_int's rule."""
+    """A dim x dim matrix given as rows whose entries follow _as_int's rule.
+    On an int64 field, rows of ints and decimal strings that fit int64 are
+    read straight into int64; anything else is read entry by entry, as
+    python ints, and a bad entry is named."""
     if not (
         isinstance(rows, list)
         and len(rows) == dim
         and all(isinstance(row, list) and len(row) == dim for row in rows)
     ):
         raise TranscriptFormatError(f"transcript field {name} is not a {dim} x {dim} matrix")
-    if set(map(type, itertools.chain.from_iterable(rows))) <= _INT_TYPES:
+    entries = list(itertools.chain.from_iterable(rows))
+    if field.dtype is not object and set(map(type, entries)) <= _INT_TYPES:
         try:
-            return SquareMatrix(field, _residues(field, rows, dim))
-        except ValueError:
-            pass  # a string that is not decimal, named below
+            flat = np.fromiter(map(int, entries), np.int64, dim * dim)
+            return SquareMatrix(field, np.remainder(flat, field.p).reshape(dim, dim))
+        except (ValueError, OverflowError):
+            pass  # a string that is not decimal, or an entry beyond int64
     ints = [
         [_as_int(x, f"{name}[{i}][{j}]") for j, x in enumerate(row)]
         for i, row in enumerate(rows)
     ]
     return SquareMatrix(field, field.asarray(ints))
-
-
-def _residues(field: PrimeField, rows, dim: int) -> np.ndarray:
-    """Rows of ints and decimal strings as residues: read straight into
-    int64, or through python ints for an entry or a field beyond int64.
-    A string that is not decimal raises ValueError."""
-    if field.dtype is not object:
-        try:
-            flat = np.fromiter(map(int, itertools.chain.from_iterable(rows)), np.int64, dim * dim)
-            return np.remainder(flat, field.p).reshape(dim, dim)
-        except OverflowError:
-            pass
-    return field.asarray([[int(x) for x in row] for row in rows])
 
 
 def read_transcript(text: str) -> tuple[Transcript, FixtureData | None]:

@@ -15,6 +15,7 @@ is re-evaluated with the core swapped for another matrix.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -122,47 +123,34 @@ class BasisEntry:
     value: SquareMatrix
 
 
+@dataclass(frozen=True, eq=False)
 class DecoratedBasis:
-    """Saturated basis of Sp(A_L * core * A_R) with per-entry provenance.
+    """Saturated basis of Sp(A_L * core * A_R) with per-entry provenance:
+    the record of one build_decorated_basis call, immutable and shareable.
 
-    Row i of rho, sigma and echelon.originals holds entries[i]; each
-    entry's value is a view of its row there. Construction
-    is sequential and deterministic; a completed basis is immutable and may
-    be shared. Independent bases build in parallel fine.
+    Row i of rho, sigma and echelon.originals describes entry i, whose
+    value is (rho[i] . A_L) * core * (sigma[i] . A_R). entries is formed
+    from those rows on first read, each value a view of its row in
+    echelon.originals; express and substitute never read it.
     """
 
-    def __init__(
-        self,
-        core: SquareMatrix,
-        sides: SideSpec,
-        rho: np.ndarray,
-        sigma: np.ndarray,
-        echelon: EchelonState,
-        build_mul_count: int,
-        candidates_checked: int,
-    ):
-        self.field = core.field
-        self.core = core
-        self.sides = sides
-        self.left, self.right = sides.algebras(core.field, core.dim)
-        self.rho = rho
-        self.sigma = sigma
-        self.echelon = echelon
-        self.build_mul_count = build_mul_count
-        self.candidates_checked = candidates_checked  # rows drawn, core included
-        m = core.dim
-        self.entries = [
-            BasisEntry(r, s, SquareMatrix(self.field, v.reshape(m, m)))
-            for r, s, v in zip(rho, sigma, echelon.originals)
-        ]
+    core: SquareMatrix
+    sides: SideSpec = dataclasses.field(repr=False)
+    left: Algebra = dataclasses.field(repr=False)  # A_L
+    right: Algebra = dataclasses.field(repr=False)  # A_R
+    rho: np.ndarray = dataclasses.field(repr=False)  # (dim, dim A_L)
+    sigma: np.ndarray = dataclasses.field(repr=False)  # (dim, dim A_R)
+    echelon: EchelonState = dataclasses.field(repr=False)
+    build_mul_count: int
+    candidates_checked: int  # rows drawn, core included
+
+    @property
+    def field(self) -> PrimeField:
+        return self.core.field
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
-
-    @property
-    def matrix_dim(self) -> int:
-        return self.core.dim
+        return self.echelon.rank
 
     @property
     def u_size(self) -> int:
@@ -173,11 +161,13 @@ class DecoratedBasis:
         r, u = self.dim, self.u_size
         return r**3 * u**2 + r
 
-    def __repr__(self):
-        return (
-            f"DecoratedBasis(dim={self.dim}, matrix_dim={self.matrix_dim}, "
-            f"u_size={self.u_size})"
-        )
+    @functools.cached_property
+    def entries(self) -> list[BasisEntry]:
+        m = self.core.dim
+        return [
+            BasisEntry(r, s, SquareMatrix(self.field, v.reshape(m, m)))
+            for r, s, v in zip(self.rho, self.sigma, self.echelon.originals)
+        ]
 
 
 def _confirm_rows(p: int) -> int:
@@ -251,13 +241,15 @@ def build_decorated_basis(core: SquareMatrix, sides: SideSpec) -> DecoratedBasis
         size = need - run if run else min(2 * size, _MAX_BLOCK, full - state.rank)
 
     return DecoratedBasis(
-        core,
-        sides,
-        np.concatenate(rho),
-        np.concatenate(sigma),
-        state,
-        field.ops.mul_count - mul0,
-        drawn,
+        core=core,
+        sides=sides,
+        left=left,
+        right=right,
+        rho=np.concatenate(rho),
+        sigma=np.concatenate(sigma),
+        echelon=state,
+        build_mul_count=field.ops.mul_count - mul0,
+        candidates_checked=drawn,
     )
 
 
@@ -293,7 +285,7 @@ def substitute(
     coeffs = field.asarray(coeffs)
     if coeffs.shape != (basis.dim,):
         raise ValueError(f"expected {basis.dim} coefficients, got {coeffs.shape}")
-    m, d = basis.matrix_dim, basis.left.dim
+    m, d = basis.core.dim, basis.left.dim
     field.ops.mul_count += basis.sigma.size
     scaled = np.remainder(coeffs[:, None] * basis.sigma, field.p)
     weights = gemm_mod(field, basis.rho.T, scaled)  # M, dim A_L x dim A_R

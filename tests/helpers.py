@@ -4,10 +4,23 @@ import functools
 import random
 
 import numpy as np
+import pytest
 
 import braidbreak as bb
 
 DEFAULT_SEED = 1234
+
+# (stage, core, field, message): a zero field raises MalformedTranscriptError
+# naming the first stage that reads it and that stage's core
+ZERO_MESSAGES = [
+    pytest.param(1, "w", "w", "stage 1, core w: zero matrix", id="1-w"),
+    pytest.param(2, "h", "h", "stage 2, core h: zero matrix", id="2-h"),
+    pytest.param(3, "z", "z", "stage 3, core z: zero matrix", id="3-z"),
+    pytest.param(1, "w", "x", "stage 1, core w: message x is a zero matrix", id="1-w-x"),
+    pytest.param(1, "w", "u", "stage 1, core w: message u is a zero matrix", id="1-w-u"),
+    pytest.param(2, "h", "y", "stage 2, core h: message y is a zero matrix", id="2-h-y"),
+    pytest.param(3, "z", "v", "stage 3, core z: message v is a zero matrix", id="3-z-v"),
+]
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,7 +108,7 @@ def entry_product(basis: bb.DecoratedBasis, entry: bb.BasisEntry,
                   core: bb.SquareMatrix) -> bb.SquareMatrix:
     """P * core * Q with P = entry.rho . A_L and Q = entry.sigma . A_R, the
     algebras' words evaluated from the side multipliers."""
-    f, m, sides = basis.field, basis.matrix_dim, basis.sides
+    f, m, sides = basis.field, basis.core.dim, basis.sides
     p_mat = algebra_element(sides.left, basis.left.words, entry.rho, f, m)
     q_mat = algebra_element(sides.right, basis.right.words, entry.sigma, f, m)
     return p_mat @ core @ q_mat

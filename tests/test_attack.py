@@ -13,7 +13,7 @@ import braidbreak.attack
 from braidbreak.protocol import derive_trial_seed
 from braidbreak.span import build_decorated_basis
 
-from helpers import honest_run
+from helpers import ZERO_MESSAGES, honest_run
 
 
 def test_empty_words_recover_h():
@@ -157,14 +157,16 @@ def test_inconsistent_message_raises_stage_labeled_error():
     assert f"stage 1, core w: target not in the {rank}-dimensional span" in str(exc.value)
 
 
-@pytest.mark.parametrize("stage,core", [(1, "w"), (2, "h"), (3, "z")])
-def test_zero_core_raises_stage_labeled_error(stage, core):
+@pytest.mark.parametrize("stage,core,name,message", ZERO_MESSAGES)
+def test_zero_core_raises_stage_labeled_error(monkeypatch, stage, core, name, message):
+    # a zero core or message raises before any basis is built
     run = honest_run(2, "lk", 4, seed=22)
     t = run.transcript
     zero = bb.SquareMatrix(t.field, t.field.zeros((t.dim, t.dim)))
-    zeroed = dataclasses.replace(t, **{core: zero})
+    zeroed = dataclasses.replace(t, **{name: zero})
+    monkeypatch.setattr(braidbreak.attack, "build_decorated_basis", None)
     with pytest.raises(bb.MalformedTranscriptError,
-                       match=f"stage {stage}, core {core}: zero matrix") as exc:
+                       match=f"^{re.escape(message)}$") as exc:
         bb.attack_transcript(zeroed)
     assert (exc.value.stage, exc.value.core, exc.value.rank) == (stage, core, None)
 

@@ -1,6 +1,8 @@
 """CLI commands: round trips, exit codes, determinism of artifacts."""
 
+import collections
 import json
+import re
 
 import pytest
 
@@ -9,7 +11,7 @@ import braidbreak.bench
 from braidbreak.cli import main
 from braidbreak.selftest import run_selftest
 
-from helpers import algebra_element
+from helpers import ZERO_MESSAGES, algebra_element
 
 
 def run_cli(argv):
@@ -287,6 +289,67 @@ def _mutate(doc, path, value):
         doc[last] = value
 
 
+_RETYPES = (None, True, 1.5, "x", [], {}, 0, -1, 10**30, "7")
+
+
+def _corpus_edits(doc):
+    """(path, value) of every edit the corpus makes to one honest transcript
+    document, one edit a case; value DROP deletes."""
+    for key in doc:
+        for value in (DROP,) + _RETYPES:
+            yield (key,), value
+    for key, delta in (("n", 1), ("n", -1), ("split", 1), ("split", -1), ("dim", 1)):
+        yield (key,), doc[key] + delta
+    yield ("p",), 101
+    yield ("protocol_id",), 3 - doc["protocol_id"]
+    for key in "hxywzuv":
+        yield (key, 0), DROP
+        yield (key, 0, 0), 1.5
+        yield (key,), [["0"] * doc["dim"]] * doc["dim"]
+    for key in ("a_gens", "b_gens"):
+        yield (key, 0), DROP
+        yield (key, 0), 5
+        yield (key, 0, "inverse"), DROP
+        yield (key, 0, "index"), True
+
+
+def test_attack_edit_corpus_raises_a_named_error_or_matches(tmp_path, capsys):
+    # CLI runs of protocols 1 and 2 x lk and Burau at n=5, seed 0, each
+    # edited one field at a time: every case exits 1 with a named
+    # BraidbreakError or prints MATCH, and only a Burau q edit (Burau reads
+    # no q) may match; the outcome counts are pinned
+    outcomes = collections.Counter()
+    t, f = tmp_path / "t.json", tmp_path / "f.json"
+    for protocol in ("1", "2"):
+        for rep in ("lk", "burau"):
+            run_cli(["simulate", "--protocol", protocol, "--rep", rep, "--n", "5",
+                     "--seed", "0", "--out", str(t), "--fixture", str(f)])
+            text = t.read_text()
+            for path, value in _corpus_edits(json.loads(text)):
+                doc = json.loads(text)
+                _mutate(doc, path, value)
+                t.write_text(json.dumps(doc))
+                capsys.readouterr()
+                code = run_cli(["attack", str(t), "--fixture", str(f)])
+                out, err = capsys.readouterr()
+                case = (protocol, rep, path, value)
+                if code == 0:
+                    assert out.splitlines()[-1] == "MATCH", case
+                    assert rep == "burau" and path == ("q",), case
+                    outcomes["MATCH"] += 1
+                    continue
+                named = re.match(r"error: (\w+): ", err)
+                assert code == 1 and named and "Traceback" not in err, (case, out, err)
+                assert issubclass(getattr(bb, named[1]), bb.BraidbreakError), case
+                outcomes[named[1]] += 1
+    assert outcomes == {
+        "TranscriptFormatError": 870,
+        "RelationValidationError": 26,
+        "MalformedTranscriptError": 32,
+        "MATCH": 8,
+    }
+
+
 @pytest.mark.parametrize("path,value,field", [
     (("b_gens", 0, "index"), DROP, "b_gens[0].index"),
     (("a_gens", 0, "matrix"), DROP, "a_gens[0].matrix"),
@@ -327,17 +390,17 @@ def test_attack_schema_errors_are_named(tmp_path, capsys, path, value, field):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("stage,core", [(1, "w"), (2, "h"), (3, "z")])
-def test_attack_zero_core_is_a_named_error(tmp_path, capsys, stage, core):
+@pytest.mark.parametrize("stage,core,name,message", ZERO_MESSAGES)
+def test_attack_zero_core_is_a_named_error(tmp_path, capsys, stage, core, name, message):
     t = tmp_path / "t.json"
     run_cli(["simulate", "--n", "4", "--seed", "14", "--out", str(t)])
     doc = json.loads(t.read_text())
-    doc[core] = [["0"] * doc["dim"] for _ in range(doc["dim"])]
+    doc[name] = [["0"] * doc["dim"] for _ in range(doc["dim"])]
     t.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run_cli(["attack", str(t)]) == 1
     err = capsys.readouterr().err
-    assert f"MalformedTranscriptError: stage {stage}, core {core}: zero matrix" in err
+    assert err == f"error: MalformedTranscriptError: {message}\n"
 
 
 def test_attack_rejects_wrong_listed_inverse(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Decorated-basis construction, expression, substitution, equivariance."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -296,7 +297,7 @@ def test_sampled_basis_is_deterministic():
 
 def test_basis_keeps_each_accepted_row_once():
     # every entry's value is a view of its row in the echelon state, which
-    # is the only store of the accepted rows
+    # is the only store of the accepted rows; a built basis is frozen
     rng = random.Random(33)
     for kind, n in (("lk", 5), ("burau", 5)):
         r = rep(kind, n)
@@ -305,7 +306,22 @@ def test_basis_keeps_each_accepted_row_once():
                       bb.SideSpec.mixed(pair.b_gens, pair.a_gens)):
             basis = bb.build_decorated_basis(random_word_matrix(r, rng), sides)
             originals = basis.echelon.originals
-            assert len(originals) == basis.dim
+            assert basis.dim == len(basis.entries) == basis.echelon.rank == len(originals)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                basis.rho = basis.rho[:1]
             for i, e in enumerate(basis.entries):
                 assert np.shares_memory(e.value.a, originals)
                 assert np.array_equal(e.value.a.reshape(-1), originals[i])
+
+
+def test_attack_forms_no_basis_entries(monkeypatch):
+    # an attack reads only its bases' counts; entries are formed on first read
+    made = []
+    monkeypatch.setattr(bb.span, "BasisEntry", lambda *a: made.append(a))
+    run = honest_run(2, "lk", 5, seed=31)
+    assert bb.verify_against_oracle(bb.attack_transcript(run.transcript), run)
+    assert made == []
+    t = run.transcript
+    basis = bb.build_decorated_basis(t.w, bb.SideSpec.mixed(t.b_gens, t.a_gens))
+    assert made == []
+    assert len(basis.entries) == len(made) == basis.dim
