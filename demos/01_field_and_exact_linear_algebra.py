@@ -2,7 +2,8 @@
 
 Everything downstream (braid images, protocols, the attack) runs on the
 primitives shown here: plain residues, counted operations, and a row
-echelon state that can absorb vectors one at a time.
+echelon state that absorbs blocks of vectors and keeps each one that is
+independent of the vectors before it.
 """
 
 import random
@@ -26,23 +27,20 @@ rhs = (bb.gemm_mod(field, x, y) + bb.gemm_mod(field, x, z)) % field.p
 assert (lhs == rhs).all()
 print("gemm_mod distributes exactly over random residue matrices")
 
-m = bb.SquareMatrix.from_rows(field, [[1, 2, 0], [0, 1, 5], [7, 0, 1]])
+m = bb.SquareMatrix(field, field.asarray([[1, 2, 0], [0, 1, 5], [7, 0, 1]]))
 m_inv = m.inverse()
 print(f"3x3 matrix inverse check: M @ M^-1 == I -> {m @ m_inv == bb.SquareMatrix.identity(field, 3)}")
 
 print(f"\nflattening embeds 3x3 matrices into a vector space of dim {3 * 3}")
 state = bb.EchelonState(field, 9)
-inserted = 0
-for k in range(12):
-    vec = field.asarray([rng.randrange(field.p) for _ in range(9)])
-    inserted += state.try_extend(vec)
-print(f"fed 12 random vectors, kept {inserted} independent ones (ambient dim 9)")
+vectors = field.asarray([[rng.randrange(field.p) for _ in range(9)] for _ in range(12)])
+kept = state.extend_batch(vectors)
+print(f"fed 12 random vectors, kept {kept.sum()} independent ones (ambient dim 9)")
 
 snap = field.ops.snapshot()
-basis = [field.asarray([rng.randrange(field.p) for _ in range(16)]) for _ in range(6)]
+basis = field.asarray([[rng.randrange(field.p) for _ in range(16)] for _ in range(6)])
 span = bb.EchelonState(field, 16)
-for vec in basis:
-    assert span.try_extend(vec)
+assert span.extend_batch(basis).all()
 coeffs = [rng.randrange(field.p) for _ in range(6)]
 target_v = field.zeros(16)
 for c, vec in zip(coeffs, basis):

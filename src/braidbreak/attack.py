@@ -30,7 +30,7 @@ from .errors import (
     MalformedTranscriptError, NotInSpanError, RelationValidationError, TranscriptFormatError,
 )
 from .matrix import SquareMatrix
-from .protocol import PROTOCOLS, SCHEMA_VERSION, Transcript, document_text
+from .protocol import PROTOCOLS, SCHEMA_VERSION, HonestRun, Transcript
 from .span import SideSpec, build_decorated_basis, express, substitute
 
 
@@ -108,9 +108,6 @@ class AttackReport:
             doc["wall_time_ms"] = round(self.wall_time * 1000.0, 3)
         return doc
 
-    def to_text(self, include_timings: bool = False) -> str:
-        return document_text(self.to_document(include_timings))
-
 
 # (core, target) transcript fields of stages 1-3; the replacement is u, then
 # the previous stage's output
@@ -122,20 +119,21 @@ def stage_bases(t: Transcript):
     basis built per step, over the sides PROTOCOLS names for t. A caller
     that drops each basis before the next step holds one at a time.
 
-    On an honest transcript each core is P h Q between invertible factors
-    of the sides' own subgroups, with P and Q invertible and commuting with
-    the left and the right algebra (protocol 1: w = g3 f1 d1 c1 h c2 d2 f2
-    g4), so its span is P V_h Q and the three spans have one dimension. A
-    stage whose basis dim differs from stage 1's raises
-    MalformedTranscriptError. Before stage 1, in this order: a q or t the
-    platform's constructor rejects raises TranscriptFormatError; a listed
+    On an honest transcript each core is P h Q between invertible factors of
+    the sides' own subgroups, with P and Q invertible and commuting with the
+    left and the right algebra (protocol 1: w = g3 f1 d1 c1 h c2 d2 f2 g4),
+    so its span is P V_h Q and the three spans have one dimension. A stage
+    whose basis dim differs from stage 1's raises MalformedTranscriptError.
+    Before stage 1, in this order: an unknown rep_kind, or a q or t the
+    platform's constructor rejects, raises TranscriptFormatError; a listed
     generator matrix or inverse that differs from the rebuilt platform
     raises RelationValidationError naming the first such field in listed
     order; and a zero message, which no braid image is, raises
-    MalformedTranscriptError naming the stage that reads it and that
-    stage's core (x and u: stage 1, core w; y: 2, h; v: 3, z).
+    MalformedTranscriptError naming the stage that reads it and that stage's
+    core (x and u: stage 1, core w; y: 2, h; v: 3, z).
     """
-    params = "fields q, t" if t.rep_kind == "lk" else "field t"  # Burau reads no q
+    # Burau reads no q; representation rejects any other kind
+    params = {"lk": "fields q, t", "burau": "field t"}.get(t.rep_kind, "field rep_kind")
     try:
         rep = representation(t.field, t.rep_kind, t.n, t.q, t.t)
     except ValueError as e:
@@ -213,9 +211,9 @@ def attack_transcript(t: Transcript) -> AttackReport:
     )
 
 
-def verify_against_oracle(report: AttackReport, run) -> bool:
+def verify_against_oracle(report: AttackReport, run: HonestRun) -> bool:
     """True iff the recovered key equals the honest run's key, entrywise."""
-    honest = run.k_alice if hasattr(run, "k_alice") else run
+    honest = run.k_alice
     if report.recovered_k.dim != honest.dim:
         raise ValueError(
             f"dimension mismatch: recovered {report.recovered_k.dim}, "

@@ -11,13 +11,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import statistics
 
 from .attack import AttackReport, attack_transcript
 from .protocol import (
     SCHEMA_VERSION,
     ProtocolParams,
     derive_trial_seed,
-    document_text,
     run_protocol,
 )
 
@@ -52,9 +52,7 @@ def fit_slope(pairs: Pairs) -> float:
         raise ValueError("need at least two distinct dims to fit a slope")
     pts = []
     for dim, muls in sorted(by_dim.items()):
-        muls.sort()
-        mid = muls[len(muls) // 2]
-        pts.append((math.log(dim), math.log(mid)))
+        pts.append((math.log(dim), math.log(statistics.median_high(muls))))
     xbar = sum(x for x, _ in pts) / len(pts)
     ybar = sum(y for _, y in pts) / len(pts)
     num = sum((x - xbar) * (y - ybar) for x, y in pts)
@@ -73,8 +71,7 @@ def slopes_by_protocol(pairs: Pairs) -> dict[int, float]:
 
 
 def median_ratio(pairs: Pairs) -> float:
-    ratios = sorted(r.bound_ratio for _, r in pairs)
-    return ratios[len(ratios) // 2]
+    return statistics.median_high(r.bound_ratio for _, r in pairs)
 
 
 def _record(seed: int, r: AttackReport, include_timings: bool) -> dict:
@@ -102,10 +99,6 @@ def bench_document(pairs: Pairs, include_timings: bool = False) -> dict:
         "median_ratio": median_ratio(pairs),
         "max_ratio": max(r.bound_ratio for _, r in pairs),
     }
-
-
-def bench_text(pairs: Pairs, include_timings: bool = False) -> str:
-    return document_text(bench_document(pairs, include_timings))
 
 
 def format_table(pairs: Pairs, include_timings: bool = False) -> str:

@@ -22,6 +22,8 @@ from .errors import RelationValidationError
 from .field import PrimeField
 from .matrix import SquareMatrix, gemm_mod
 
+REP_KINDS = ("lk", "burau")
+
 
 @dataclass(frozen=True)
 class BraidWord:
@@ -100,7 +102,6 @@ class Representation:
         n: int,
         gen_images: list[tuple[SquareMatrix, SquareMatrix]],
         params: tuple[int | None, int],
-        kind: str = "custom",
     ):
         if n < 3:
             raise ValueError(f"need at least 3 strands, got {n}")
@@ -111,7 +112,6 @@ class Representation:
         self.dim = gen_images[0][0].dim
         self.gen_images = tuple(gen_images)
         self.params = params
-        self.kind = kind
         self._validate()
 
     def _validate(self) -> None:
@@ -155,7 +155,7 @@ class Representation:
         return mat if letter > 0 else inv
 
     def __repr__(self):
-        return f"Representation(kind={self.kind!r}, n={self.n}, dim={self.dim})"
+        return f"Representation(n={self.n}, dim={self.dim})"
 
 
 def evaluate(rep: Representation, word: BraidWord) -> SquareMatrix:
@@ -186,7 +186,9 @@ def representation(field: PrimeField, rep_kind: str, n: int, q: int, t: int) -> 
     """The rep_kind ("lk" or "burau") image of B_n; Burau does not use q."""
     if rep_kind == "lk":
         return lk_representation(field, n, q, t)
-    return burau_representation(field, n, t)
+    if rep_kind == "burau":
+        return burau_representation(field, n, t)
+    raise ValueError(f"rep_kind must be one of {REP_KINDS}, got {rep_kind!r}")
 
 
 def lk_representation(field: PrimeField, n: int, q: int, t: int) -> Representation:
@@ -234,7 +236,7 @@ def lk_representation(field: PrimeField, n: int, q: int, t: int) -> Representati
                 put((s, u + 1), qv)
         mat = SquareMatrix(field, arr)
         images.append((mat, mat.inverse()))
-    return Representation(field, n, images, (qv, tv), kind="lk")
+    return Representation(field, n, images, (qv, tv))
 
 
 def burau_representation(field: PrimeField, n: int, t: int) -> Representation:
@@ -257,7 +259,7 @@ def burau_representation(field: PrimeField, n: int, t: int) -> Representation:
         arr[i, i] = 0
         mat = SquareMatrix(field, arr)
         images.append((mat, mat.inverse()))
-    return Representation(field, n, images, (None, tv), kind="burau")
+    return Representation(field, n, images, (None, tv))
 
 
 @dataclass(frozen=True)
@@ -279,7 +281,6 @@ class CommutingPair:
     every such pair, with checked inverses, when it was built.
     """
 
-    split: int
     a_gens: tuple[LabeledGenerator, ...]
     b_gens: tuple[LabeledGenerator, ...]
 
@@ -296,7 +297,7 @@ def commuting_subgroups(rep: Representation, split: int) -> CommutingPair:
     b_gens = tuple(
         LabeledGenerator(i, *rep.gen_images[i - 1]) for i in range(split + 1, n)
     )
-    return CommutingPair(split, a_gens, b_gens)
+    return CommutingPair(a_gens, b_gens)
 
 
 def default_split(n: int) -> int:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .attack import attack_transcript, stage_bases, verify_against_oracle
-from .bench import bench_text, format_table, run_bench
+from .bench import bench_document, format_table, run_bench
 from .errors import BraidbreakError, TranscriptFormatError
 from .field import DEFAULT_PRIME
 from .protocol import (
@@ -120,7 +120,7 @@ def cmd_attack(args) -> int:
         f"mul={report.mul_count}{timing}"
     )
     if args.out:
-        _write(args.out, report.to_text(include_timings=args.timings))
+        _write(args.out, document_text(report.to_document(args.timings)))
     if args.dump_bases:
         if args.out:
             dump_path = str(Path(args.out).with_suffix("")) + ".bases.json"
@@ -133,9 +133,7 @@ def cmd_attack(args) -> int:
         if fixture is None:
             print("attack: fixture file has no private section", file=sys.stderr)
             return 1
-        # verify_against_oracle raises on a key of another dimension, which
-        # is a mismatch here, not a usage error
-        if fixture.k.dim == report.dim and verify_against_oracle(report, fixture.k):
+        if report.recovered_k == fixture.k:
             print("MATCH")
         else:
             print("MISMATCH")
@@ -194,7 +192,7 @@ def cmd_bench(args) -> int:
     ]
     print(format_table(pairs, include_timings=args.timings), end="")
     if args.out:
-        _write(args.out, bench_text(pairs, include_timings=args.timings))
+        _write(args.out, document_text(bench_document(pairs, args.timings)))
     return 0
 
 

@@ -23,11 +23,13 @@ DEFAULT_PRIME = 2147483659
 # to object-dtype (python bigint) arrays, exact but much slower.
 FAST_PATH_MAX = 3037000499
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with fixed bases (deterministic for n < 3.3e24)."""
+    """Miller-Rabin with the prime bases up to 41: exact below
+    3317044064679887385961981, the least strong pseudoprime to all of them;
+    larger n that pass are probable primes."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -95,19 +97,11 @@ class PrimeField:
         return hash(("PrimeField", self.p))
 
     def inverse_int(self, a: int) -> int:
-        """Inverse of the residue a via extended Euclid. a must be nonzero."""
-        a %= self.p
-        if a == 0:
+        """Inverse of the residue a. a must be nonzero."""
+        if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        # iterative xgcd on (a, p); gcd is 1 since p is prime
-        r0, r1 = a, self.p
-        s0, s1 = 1, 0
-        while r1:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            s0, s1 = s1, s0 - q * s1
         self.ops.inv_count += 1
-        return s0 % self.p
+        return pow(a, -1, self.p)
 
     def asarray(self, data) -> np.ndarray:
         """Canonicalize nested int data into a residue array of this field."""
@@ -118,10 +112,7 @@ class PrimeField:
         return np.zeros(shape, dtype=self.dtype)
 
     def identity_array(self, m: int) -> np.ndarray:
-        a = self.zeros((m, m))
-        for i in range(m):
-            a[i, i] = 1
-        return a
+        return np.eye(m, dtype=self.dtype)
 
     def check_same(self, other: "PrimeField") -> None:
         if self is not other and self.p != other.p:

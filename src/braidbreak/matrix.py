@@ -148,13 +148,6 @@ class SquareMatrix:
     a: np.ndarray  # shape (m, m), canonical residues, never mutated
 
     @classmethod
-    def from_rows(cls, field: PrimeField, rows) -> "SquareMatrix":
-        arr = field.asarray(rows)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"square matrix expected, got shape {arr.shape}")
-        return cls(field, arr)
-
-    @classmethod
     def identity(cls, field: PrimeField, m: int) -> "SquareMatrix":
         return cls(field, field.identity_array(m))
 
@@ -303,17 +296,12 @@ class EchelonState:
     def rank(self) -> int:
         return len(self.pivot_cols)
 
-    def _as_vec(self, v) -> np.ndarray:
-        v = np.asarray(v) % self.field.p
-        if v.shape != (self.ambient,):
-            raise ValueError(f"expected vector of length {self.ambient}")
-        return v
-
     def extend_batch(self, block) -> np.ndarray:
         """Feed candidate rows in order; returns a boolean mask of acceptances.
 
-        Equivalent to calling try_extend row by row: the accepted rows are
-        the row rank profile of the block on top of the current rows.
+        A row is accepted iff it is independent of the current rows and the
+        rows accepted before it: the accepted rows are the row rank profile
+        of the block on top of the current rows.
         """
         f = self.field
         block = np.asarray(block)
@@ -329,10 +317,6 @@ class EchelonState:
             self.pivot_cols += pivots
         return accepted
 
-    def try_extend(self, v) -> bool:
-        """Append v if independent of the current rows; False if dependent."""
-        return bool(self.extend_batch(self._as_vec(v)[None, :])[0])
-
     def in_span(self, v) -> bool:
         return self.solve(v) is not None
 
@@ -344,7 +328,9 @@ class EchelonState:
         square rank x rank column blocks of originals, so it never splits
         more of originals into limbs at once than the product with inv does.
         """
-        f, vec = self.field, self._as_vec(v)
+        f, vec = self.field, np.asarray(v) % self.field.p
+        if vec.shape != (self.ambient,):
+            raise ValueError(f"expected vector of length {self.ambient}")
         c = gemm_mod(f, vec[None, self.pivot_cols], self.inv)
         step = max(self.rank or self.ambient, 1)  # one block when empty
         for lo in range(0, self.ambient, step):

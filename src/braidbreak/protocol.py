@@ -23,6 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from .braid import (
+    REP_KINDS,
     BraidWord,
     LabeledGenerator,
     Representation,
@@ -37,8 +38,6 @@ from .field import PrimeField, DEFAULT_PRIME
 from .matrix import SquareMatrix
 
 SCHEMA_VERSION = 1
-
-REP_KINDS = ("lk", "burau")
 
 # JSON types an integer field may take: an integer or a decimal string
 _INT_TYPES = {int, str}
@@ -378,7 +377,7 @@ def read_transcript(text: str) -> tuple[Transcript, FixtureData | None]:
     try:
         field = PrimeField(_int(doc, "p"))
     except ValueError as e:
-        raise TranscriptFormatError(str(e)) from e
+        raise TranscriptFormatError(f"transcript field p: {e}") from e
     n = _int(doc, "n")
     split = _int(doc, "split")
     dim = _int(doc, "dim")

@@ -24,13 +24,8 @@ from .protocol import ProtocolParams, run_protocol
 from .span import SideSpec, build_decorated_basis, express, substitute
 
 
-def _field() -> PrimeField:
-    return PrimeField()
-
-
 def suite_field_axioms() -> None:
-    for p in (101, None):
-        f = PrimeField(p) if p else _field()
+    for f in (PrimeField(101), PrimeField()):
         rng = random.Random(7)
         for _ in range(50):
             a = rng.randrange(1, f.p)
@@ -47,7 +42,7 @@ def suite_field_axioms() -> None:
 
 
 def suite_braid_relations() -> None:
-    f = _field()
+    f = PrimeField()
     rng = random.Random(11)
     for n in (4, 5):
         q, t = rng.randrange(2, f.p), rng.randrange(1, f.p)
@@ -59,7 +54,7 @@ def suite_braid_relations() -> None:
 
 
 def suite_commuting_subgroups() -> None:
-    f = _field()
+    f = PrimeField()
     rep = lk_representation(f, 6, 12345, 67890)
     pair = commuting_subgroups(rep, 3)
     for ga in pair.a_gens:
@@ -70,7 +65,7 @@ def suite_commuting_subgroups() -> None:
 
 
 def suite_span_fixpoint() -> None:
-    f = _field()
+    f = PrimeField()
     rng = random.Random(13)
     rep = lk_representation(f, 4, rng.randrange(2, f.p), rng.randrange(1, f.p))
     pair = commuting_subgroups(rep, 2)

@@ -221,7 +221,7 @@ def build_decorated_basis(core: SquareMatrix, sides: SideSpec) -> DecoratedBasis
     # seed with SHA-512), so every output is a function of the inputs
     rng = random.Random(f"{field.p}:{core.a.reshape(-1).tolist()}")
     state = EchelonState(field, m * m)
-    state.try_extend(core.a.reshape(-1))
+    state.extend_batch(core.a.reshape(1, -1))
     rho, sigma = [field.zeros((1, left.dim))], [field.zeros((1, right.dim))]
     rho[0][0, 0] = sigma[0][0, 0] = 1  # word 0 of each algebra is the identity
     # core * B_j for every word B_j of A_R, so that core * Q = sigma . core_right

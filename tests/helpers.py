@@ -101,7 +101,7 @@ def algebra_element(side, words, coeffs, f: bb.PrimeField, m: int) -> bb.SquareM
     total = np.zeros((m, m), dtype=object)
     for c, word in zip(coeffs, words):
         total = (total + int(c) * word_product(side, word, f, m).a.astype(object)) % f.p
-    return bb.SquareMatrix.from_rows(f, total.tolist())
+    return bb.SquareMatrix(f, f.asarray(total))
 
 
 def entry_product(basis: bb.DecoratedBasis, entry: bb.BasisEntry,

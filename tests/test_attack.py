@@ -1,8 +1,10 @@
 """Attack soundness against the honest-run oracle, stage semantics, and the
 public-transcript information boundary."""
 
+import collections
 import dataclasses
 import gc
+import itertools
 import re
 import weakref
 
@@ -99,9 +101,8 @@ def test_verify_against_oracle_detects_mismatch():
     assert bb.verify_against_oracle(report, run) is True
     perturbed = run.k_alice.a.copy()
     perturbed[0, 0] = (int(perturbed[0, 0]) + 1) % run.transcript.p
-    assert bb.verify_against_oracle(
-        report, bb.SquareMatrix(run.transcript.field, perturbed)
-    ) is False
+    wrong = dataclasses.replace(run, k_alice=bb.SquareMatrix(run.transcript.field, perturbed))
+    assert bb.verify_against_oracle(report, wrong) is False
 
 
 def test_verify_dimension_mismatch_raises():
@@ -171,6 +172,13 @@ def test_zero_core_raises_stage_labeled_error(monkeypatch, stage, core, name, me
     assert (exc.value.stage, exc.value.core, exc.value.rank) == (stage, core, None)
 
 
+def test_unknown_rep_kind_raises_before_any_build(monkeypatch):
+    t = dataclasses.replace(honest_run(1, "burau", 5, seed=22).transcript, rep_kind="foo")
+    monkeypatch.setattr(braidbreak.attack, "build_decorated_basis", None)
+    with pytest.raises(bb.TranscriptFormatError, match="^transcript field rep_kind: "):
+        bb.attack_transcript(t)
+
+
 @pytest.mark.parametrize("stage,core", [(2, "h"), (3, "z")])
 def test_unequal_stage_dims_raise_stage_labeled_error(stage, core):
     run = honest_run(2, "lk", 4, seed=22)
@@ -201,7 +209,7 @@ def test_report_document_shape_and_determinism():
     timed = report.to_document(include_timings=True)
     assert "wall_time_ms" in timed
     report_b = bb.attack_transcript(run.transcript)
-    assert report_b.to_text() == report.to_text()
+    assert report_b.to_document() == report.to_document()
     assert report_b.op_counts == report.op_counts
 
 
@@ -354,6 +362,31 @@ def test_tamper_corpus_gives_no_silent_wrong_key(monkeypatch, protocol_id, rep_k
             with pytest.raises((bb.RelationValidationError, bb.TranscriptFormatError)):
                 bb.attack_transcript(t)
             assert builds == [], name
+
+
+def test_message_swap_outcomes_pinned():
+    # protocols 1 and 2 x lk n=4, lk n=5 and Burau n=5, seed 0, with each
+    # message replaced by each other message of the same run: 252 cases. The
+    # attack cannot tell a swapped message from the one sent, so some swaps
+    # give a wrong key with no error; these are the rates, pinned
+    outcomes = collections.Counter()
+    for protocol_id in (1, 2):
+        for rep_kind, n in (("lk", 4), ("lk", 5), ("burau", 5)):
+            run = honest_run(protocol_id, rep_kind, n, seed=0)
+            t = run.transcript
+            for name, other in itertools.permutations("hxywzuv", 2):
+                swapped = dataclasses.replace(t, **{name: getattr(t, other)})
+                try:
+                    ok = bb.verify_against_oracle(bb.attack_transcript(swapped), run)
+                except bb.MalformedTranscriptError:
+                    outcomes[name, "MalformedTranscriptError"] += 1
+                else:
+                    outcomes[name, "match" if ok else "wrong key"] += 1
+    assert outcomes == {
+        ("u", "wrong key"): 36,
+        **{(name, "wrong key"): 6 for name in "hxywzv"},
+        **{(name, "MalformedTranscriptError"): 30 for name in "hxywzv"},
+    }
 
 
 # Counted operations are deterministic per seed, so they are pinned exactly:

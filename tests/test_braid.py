@@ -5,7 +5,7 @@ import random
 import pytest
 
 import braidbreak as bb
-from braidbreak.braid import default_split
+from braidbreak.braid import default_split, representation
 
 from helpers import field, rep
 
@@ -75,8 +75,8 @@ def test_lk_braid_relations_explicit():
 def test_burau_relations_and_t1_degeneration():
     f = field()
     r = bb.burau_representation(f, 3, 1)
-    swap12 = bb.SquareMatrix.from_rows(f, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    swap23 = bb.SquareMatrix.from_rows(f, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    swap12 = bb.SquareMatrix(f, f.asarray([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    swap23 = bb.SquareMatrix(f, f.asarray([[1, 0, 0], [0, 0, 1], [0, 1, 0]]))
     assert r.gen_images[0][0] == swap12
     assert r.gen_images[1][0] == swap23
     r4 = rep("burau", 4)
@@ -97,6 +97,12 @@ def test_rep_parameter_preconditions():
         bb.burau_representation(f, 4, 0)
     with pytest.raises(ValueError):
         bb.lk_representation(f, 2, 3, 5)
+
+
+@pytest.mark.parametrize("kind", ["LK", "Burau", "foo", ""])
+def test_representation_rejects_an_unknown_kind(kind):
+    with pytest.raises(ValueError, match=f"rep_kind must be one of .*, got {kind!r}"):
+        representation(field(), kind, 5, 3, 7)
 
 
 def test_perturbed_generator_rejected():

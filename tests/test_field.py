@@ -1,6 +1,7 @@
 """Prime field residues: the modulus check, inverse_int, gemm_mod and the
 operation counters."""
 
+import json
 import random
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import braidbreak as bb
 from braidbreak.field import DEFAULT_PRIME, is_probable_prime
 
-from helpers import field
+from helpers import field, honest_run
 
 
 def test_default_prime_is_odd_prime_above_2_31():
@@ -21,6 +22,27 @@ def test_default_prime_is_odd_prime_above_2_31():
 def test_composites_and_even_rejected(bad):
     with pytest.raises(ValueError):
         bb.PrimeField(bad)
+
+
+# The least strong pseudoprimes to the first 12 and the first 13 prime bases
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441, bases 2..37
+PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521, bases 2..41
+
+
+def test_strong_pseudoprime_to_bases_up_to_37_rejected():
+    assert 399165290221 * 798330580441 == PSI_12
+    with pytest.raises(ValueError):
+        bb.PrimeField(PSI_12)
+    # the test is exact below PSI_13, which passes all 13 bases
+    assert 1287836182261 * 2575672364521 == PSI_13
+    assert is_probable_prime(PSI_13)
+
+
+def test_transcript_with_a_pseudoprime_modulus_names_p():
+    doc = json.loads(bb.write_transcript(honest_run(1, "burau", 4, seed=1)))
+    doc["p"] = str(PSI_12)
+    with pytest.raises(bb.TranscriptFormatError, match="^transcript field p: "):
+        bb.read_transcript(json.dumps(doc))
 
 
 def _gemm(f, a, b):
@@ -61,6 +83,18 @@ def test_inverse_of_zero_raises():
     for zero in (0, f.p, -f.p):
         with pytest.raises(ZeroDivisionError):
             f.inverse_int(zero)
+
+
+@pytest.mark.parametrize("p", [3, 101, DEFAULT_PRIME, 2**62 - 57])
+def test_identity_array_matches_a_loop(p):
+    f = bb.PrimeField(p)
+    ref = f.zeros((4, 4))
+    for i in range(4):
+        ref[i, i] = 1
+    got = f.identity_array(4)
+    assert got.dtype == ref.dtype and (got == ref).all()
+    if f.dtype is object:  # python ints, like every other residue array there
+        assert {type(x) for x in got.flat} == {int}
 
 
 def test_modulus_mismatch_raises():

@@ -18,11 +18,11 @@ def rand_matrix(f, m, rng):
 
 def test_mat_mul_identity_and_swap():
     f = bb.PrimeField(101)
-    a = bb.SquareMatrix.from_rows(f, [[1, 2], [3, 4]])
+    a = bb.SquareMatrix(f, f.asarray([[1, 2], [3, 4]]))
     ident = bb.SquareMatrix.identity(f, 2)
     assert ident @ a == a
-    swap = bb.SquareMatrix.from_rows(f, [[0, 1], [1, 0]])
-    assert a @ swap == bb.SquareMatrix.from_rows(f, [[2, 1], [4, 3]])
+    swap = bb.SquareMatrix(f, f.asarray([[0, 1], [1, 0]]))
+    assert a @ swap == bb.SquareMatrix(f, f.asarray([[2, 1], [4, 3]]))
 
 
 def test_mat_mul_dim_mismatch():
@@ -45,9 +45,7 @@ def test_inverse_examples():
     f = field()
     ident = bb.SquareMatrix.identity(f, 4)
     assert ident.inverse() == ident
-    diag = bb.SquareMatrix.from_rows(
-        f, [[3, 0, 0], [0, 7, 0], [0, 0, 11]]
-    )
+    diag = bb.SquareMatrix(f, f.asarray([[3, 0, 0], [0, 7, 0], [0, 0, 11]]))
     inv = diag.inverse()
     for i, d in enumerate((3, 7, 11)):
         assert int(inv.a[i, i]) == f.inverse_int(d)
@@ -59,7 +57,7 @@ def test_inverse_examples():
 
 def test_inverse_singular_raises():
     f = field()
-    singular = bb.SquareMatrix.from_rows(f, [[1, 2], [2, 4]])
+    singular = bb.SquareMatrix(f, f.asarray([[1, 2], [2, 4]]))
     with pytest.raises(bb.SingularMatrixError):
         singular.inverse()
 
@@ -68,11 +66,11 @@ def test_try_extend_basics():
     f = field()
     state = EchelonState(f, 9)
     v = f.asarray([0, 0, 5, 0, 1, 0, 0, 0, 2])
-    assert state.try_extend(v)
+    assert state.extend_batch([v])[0]
     assert state.rank == 1
-    assert not state.try_extend(v)  # idempotent rejection
+    assert not state.extend_batch([v])[0]  # idempotent rejection
     assert state.rank == 1
-    assert not state.try_extend(f.asarray([0] * 9))
+    assert not state.extend_batch([f.asarray([0] * 9)])[0]
 
 
 def test_try_extend_pigeonhole():
@@ -82,7 +80,7 @@ def test_try_extend_pigeonhole():
     rng = random.Random(6)
     state = EchelonState(f, m * m)
     results = [
-        state.try_extend(f.asarray([rng.randrange(f.p) for _ in range(m * m)]))
+        state.extend_batch([f.asarray([rng.randrange(f.p) for _ in range(m * m)])])
         for _ in range(m * m + 1)
     ]
     assert not all(results)
@@ -99,12 +97,12 @@ def test_rref_idempotence():
     rng = random.Random(7)
     state = EchelonState(f, 12)
     for _ in range(5):
-        state.try_extend(f.asarray([rng.randrange(f.p) for _ in range(12)]))
+        state.extend_batch([f.asarray([rng.randrange(f.p) for _ in range(12)])])
     rows_before = rref(state)
     inv_before = state.inv.copy()
     pivots_before = list(state.pivot_cols)
     for row in rows_before:
-        assert not state.try_extend(row)
+        assert not state.extend_batch([row])[0]
     assert np.array_equal(rref(state), rows_before)
     assert np.array_equal(state.inv, inv_before)
     assert state.pivot_cols == pivots_before
@@ -113,7 +111,7 @@ def test_rref_idempotence():
 def state_of(f, vectors):
     """An EchelonState fed the given vectors, each of which must be kept."""
     state = EchelonState(f, len(vectors[0]))
-    assert all(state.try_extend(f.asarray(v)) for v in vectors)
+    assert all(state.extend_batch([f.asarray(v)])[0] for v in vectors)
     return state
 
 
@@ -178,7 +176,7 @@ def test_rank_never_exceeds_ambient():
     rng = random.Random(9)
     state = EchelonState(f, 6)
     for _ in range(30):
-        state.try_extend(f.asarray([rng.randrange(f.p) for _ in range(6)]))
+        state.extend_batch([f.asarray([rng.randrange(f.p) for _ in range(6)])])
         assert state.rank <= 6
     assert state.rank == 6
 
@@ -193,7 +191,7 @@ def test_extend_batch_matches_sequential():
     s_batch = EchelonState(f, amb)
     mask = s_batch.extend_batch(block)
     s_seq = EchelonState(f, amb)
-    expected = [s_seq.try_extend(row) for row in block]
+    expected = [s_seq.extend_batch([row])[0] for row in block]
     assert list(mask) == expected
     assert s_batch.pivot_cols == s_seq.pivot_cols
     assert np.array_equal(rref(s_batch), rref(s_seq))
@@ -205,7 +203,7 @@ def test_solve_agrees_with_plain_rank_oracle():
     rng = random.Random(11)
     vecs = [[rng.randrange(f.p) for _ in range(10)] for _ in range(14)]
     state = EchelonState(f, 10)
-    kept = sum(state.try_extend(f.asarray(v)) for v in vecs)
+    kept = sum(state.extend_batch([f.asarray(v)])[0] for v in vecs)
     assert kept == state.rank == plain_rref_rank(vecs, f.p)
 
 
@@ -217,7 +215,7 @@ def test_gauss_elimination_multiplication_bound():
     snap = f.ops.snapshot()
     state = EchelonState(f, amb)
     for _ in range(n):
-        state.try_extend(f.asarray([rng.randrange(f.p) for _ in range(amb)]))
+        state.extend_batch([f.asarray([rng.randrange(f.p) for _ in range(amb)])])
     muls = f.ops.delta(snap)[0]
     assert state.rank == n
     assert muls <= 3 * n * n * amb, f"{muls} > {3 * n * n * amb}"
@@ -252,8 +250,8 @@ def test_object_dtype_field_matches_fast_path():
     rng = random.Random(15)
     a = [[rng.randrange(slow.p) for _ in range(4)] for _ in range(4)]
     b = [[rng.randrange(slow.p) for _ in range(4)] for _ in range(4)]
-    ma = bb.SquareMatrix.from_rows(slow, a)
-    mb = bb.SquareMatrix.from_rows(slow, b)
+    ma = bb.SquareMatrix(slow, slow.asarray(a))
+    mb = bb.SquareMatrix(slow, slow.asarray(b))
     prod = ma @ mb
     for i in range(4):
         for j in range(4):
@@ -353,7 +351,7 @@ def test_extend_batch_blocks_match_oracles(p):
     for block in blocks:
         arr = f.asarray(block)
         mask = batch.extend_batch(arr)
-        assert list(mask) == [seq.try_extend(row) for row in arr]
+        assert list(mask) == [seq.extend_batch([row])[0] for row in arr]
         fed += block
         masks += list(mask)
     assert batch.rank and not batch.extend_batch(f.zeros((0, amb))).size
@@ -421,7 +419,7 @@ def test_inverse_on_both_fields(p):
     # a permuted triangle: the pivots come out of column order
     a = [[rng.randrange(1, p) if j >= i else 0 for j in range(m)] for i in range(m)]
     a = [row[3:] + row[:3] for row in a[::-1]]
-    inv = bb.SquareMatrix.from_rows(f, a).inverse()
+    inv = bb.SquareMatrix(f, f.asarray(a)).inverse()
     got = [[int(x) for x in row] for row in inv.a.tolist()]
     ident = [[int(i == j) for j in range(m)] for i in range(m)]
     assert [[sum(a[i][k] * got[k][j] for k in range(m)) % p for j in range(m)]
@@ -429,7 +427,7 @@ def test_inverse_on_both_fields(p):
     singular = a[:-1] + [[(x + y) % p for x, y in zip(a[0], a[1])]]
     for rows in (singular, [[0] * m] * m):
         with pytest.raises(bb.SingularMatrixError):
-            bb.SquareMatrix.from_rows(f, rows).inverse()
+            bb.SquareMatrix(f, f.asarray(rows)).inverse()
 
 
 def test_inverse_through_the_kernel_is_exact():
@@ -441,4 +439,4 @@ def test_inverse_through_the_kernel_is_exact():
     singular = [[rng.randrange(f.p) for _ in range(30)] for _ in range(29)]
     singular.append([sum(row[j] for row in singular) % f.p for j in range(30)])
     with pytest.raises(bb.SingularMatrixError):
-        bb.SquareMatrix.from_rows(f, singular).inverse()
+        bb.SquareMatrix(f, f.asarray(singular)).inverse()

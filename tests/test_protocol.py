@@ -7,6 +7,7 @@ import random
 import pytest
 
 import braidbreak as bb
+from braidbreak.cli import main
 from braidbreak.protocol import derive_trial_seed, transcript_document
 
 from helpers import honest_run
@@ -212,6 +213,32 @@ def test_transcript_bytes_pinned(config):
     assert got == TRANSCRIPT_DIGESTS[config]
 
 
+# SHA-256 of the report and the bases that `attack --out --dump-bases` writes
+# for the transcript of (protocol, rep, n=5, seed=1): (report, bases).
+REPORT_DIGESTS = {
+    (1, "lk"): ("cd67fcf78a791c109896b756a188241ab39e86d11dde8792fb80a2d380e2abbb",
+                "11c965c91ce273799f94f4298d0875b624eb0adf5c8794387cd6f1e5fe9a36d1"),
+    (1, "burau"): ("79bb3469dede8567558036a84d5a13721e4e001ddeeb3ae531c52218ad65851f",
+                   "24589305d8af4c4b1f1ab1ee9daa4e5fe1d990b7d598d93cad9738e1ffc0af24"),
+    (2, "lk"): ("d0491945b3206c5d7ff5edd7a8b3137a98871b5606d29f2e55fda3f0c340c7e6",
+                "3360f705df4ac2bfca0a5390f4f82a44eb403ce5cf26537d6a3a5ccc5a075b55"),
+    (2, "burau"): ("317b08c9424d24c5a8dcd929cdb0158ebe1fda4604887f56dc4b5858c00e0759",
+                   "cfa261aeec5a16fadf85cfdb6dfd168240c10dd67a1abea2640485fca6103cf1"),
+}
+
+
+@pytest.mark.parametrize("protocol_id,rep_kind", REPORT_DIGESTS)
+def test_report_and_bases_bytes_pinned(tmp_path, protocol_id, rep_kind):
+    t, report = tmp_path / "t.json", tmp_path / "report.json"
+    t.write_text(bb.write_transcript(honest_run(protocol_id, rep_kind, 5, 1)))
+    assert main(["attack", str(t), "--out", str(report), "--dump-bases"]) == 0
+    got = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (report, tmp_path / "report.bases.json")
+    )
+    assert got == REPORT_DIGESTS[protocol_id, rep_kind]
+
+
 def _random_json(rng: random.Random, depth: int = 0):
     """A random document: nested lists and dicts, matrices of strings."""
     strings = ["0", "123", "", "é", "a\"b", "\\", "\n", "\x7f", "日本", "\ud83d", "1e3"]
@@ -243,22 +270,21 @@ def test_document_text_is_json_dumps_indent_1():
 
 
 def test_artifacts_are_json_dumps_indent_1(tmp_path):
-    from braidbreak.bench import bench_document, bench_text
+    from braidbreak.bench import bench_document
     from braidbreak.cli import _bases_document
 
     pairs = []
     for protocol_id in (1, 2):
         run = honest_run(protocol_id, "lk", 5, seed=3)
         report = bb.attack_transcript(run.transcript)
-        for timings in (False, True):
-            assert report.to_text(timings) == json.dumps(
-                report.to_document(timings), indent=1) + "\n"
-        doc = _bases_document(run.transcript)
-        assert bb.protocol.document_text(doc) == json.dumps(doc, indent=1) + "\n"
+        docs = [report.to_document(timings) for timings in (False, True)]
+        docs.append(_bases_document(run.transcript))
+        for doc in docs:
+            assert bb.protocol.document_text(doc) == json.dumps(doc, indent=1) + "\n"
         pairs.append((3, report))
     for timings in (False, True):
-        assert bench_text(pairs, timings) == json.dumps(
-            bench_document(pairs, timings), indent=1) + "\n"
+        doc = bench_document(pairs, timings)
+        assert bb.protocol.document_text(doc) == json.dumps(doc, indent=1) + "\n"
 
 
 P = bb.DEFAULT_PRIME

@@ -26,7 +26,7 @@ def b_sides(r: bb.Representation, split: int) -> bb.SideSpec:
 
 def test_empty_sides_single_entry():
     f = field()
-    core = bb.SquareMatrix.from_rows(f, [[4, 1], [0, 3]])
+    core = bb.SquareMatrix(f, f.asarray([[4, 1], [0, 3]]))
     sides = bb.SideSpec((), ())
     basis = bb.build_decorated_basis(core, sides)
     # dim A_L * dim A_R == 1 proves saturation: the core is the only row drawn
@@ -42,7 +42,7 @@ def test_scalar_sides_fix_the_line():
     f = field()
     core = bb.SquareMatrix.identity(f, 2)
     c = 7
-    scalar = bb.SquareMatrix.from_rows(f, [[c, 0], [0, c]])
+    scalar = bb.SquareMatrix(f, f.asarray([[c, 0], [0, c]]))
     pair = bb.SideSpec.expand(
         [bb.LabeledGenerator(1, scalar, scalar.inverse())]
     )
@@ -127,7 +127,7 @@ def test_provenance_integrity_and_words():
         flat = [word_product(side, w, f, m).a.reshape(-1).tolist() for w in alg.words]
         assert flat == alg.mats.tolist()
         assert plain_rref_rank(flat, f.p) == alg.dim
-        products = [(g @ bb.SquareMatrix.from_rows(f, np.reshape(v, (m, m)).tolist()))
+        products = [(g @ bb.SquareMatrix(f, f.asarray(np.reshape(v, (m, m)))))
                     .a.reshape(-1).tolist() for _, g in side for v in flat]
         assert plain_rref_rank(flat + products, f.p) == alg.dim
 
@@ -142,10 +142,9 @@ def test_substitute_replays_every_word():
         pair = bb.commuting_subgroups(r, 2)
         sides = bb.SideSpec.mixed(pair.b_gens, pair.a_gens)
         basis = bb.build_decorated_basis(random_word_matrix(r, rng), sides)
-        repl = bb.SquareMatrix.from_rows(
-            r.field, [[rng.randrange(r.field.p) for _ in range(r.dim)]
-                      for _ in range(r.dim)]
-        )
+        repl = bb.SquareMatrix(r.field, r.field.asarray(
+            [[rng.randrange(r.field.p) for _ in range(r.dim)] for _ in range(r.dim)]
+        ))
         for i, e in enumerate(basis.entries):
             unit = np.zeros(basis.dim, dtype=np.int64)
             unit[i] = 1
@@ -174,7 +173,7 @@ def test_express_construction_oracle():
     target = np.zeros((r.dim, r.dim), dtype=object)
     for c, e in zip(coeffs, basis.entries):
         target = (target + c * e.value.a.astype(object)) % f.p
-    got = bb.express(basis, bb.SquareMatrix.from_rows(f, target.tolist()))
+    got = bb.express(basis, bb.SquareMatrix(f, f.asarray(target)))
     assert list(got) == coeffs
 
 
@@ -184,9 +183,9 @@ def test_express_not_in_span():
     f = r.field
     basis = bb.build_decorated_basis(random_word_matrix(r, rng), b_sides(r, 2))
     assert basis.dim < r.dim * r.dim
-    outside = bb.SquareMatrix.from_rows(
-        f, [[rng.randrange(f.p) for _ in range(r.dim)] for _ in range(r.dim)]
-    )
+    outside = bb.SquareMatrix(f, f.asarray(
+        [[rng.randrange(f.p) for _ in range(r.dim)] for _ in range(r.dim)]
+    ))
     assert not basis.echelon.in_span(outside.a.reshape(-1))  # sanity
     with pytest.raises(bb.NotInSpanError):
         bb.express(basis, outside)
