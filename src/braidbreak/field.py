@@ -9,6 +9,7 @@ counted totals always equal the sum of per-operation increments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,18 +28,17 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with the prime bases up to 41: exact below
-    3317044064679887385961981, the least strong pseudoprime to all of them;
-    larger n that pass are probable primes."""
+    """Miller-Rabin with the prime bases up to 41, exact below
+    3317044064679887385961981, the least strong pseudoprime to all of them,
+    then a strong Lucas test with Selfridge's parameters, which with base 2
+    makes up Baillie-PSW: no composite is known to pass both."""
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -49,7 +49,48 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return _strong_lucas(n)
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 41 with P = 1 and
+    Q = (1 - D) / 4, for the first D in 5, -7, 9, -11, ... with Jacobi
+    symbol (D/n) = -1 (Baillie and Wagstaff, Math. Comp. 1980)."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no such D exists
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # |D| < n shares a factor with n
+        D = -D - 2 if D > 0 else 2 - D
+    q, half = (1 - D) // 4, (n + 1) // 2
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d * 2^s, d odd
+    d = (n + 1) >> s
+    u, v, qk = 0, 2, 1  # U_k, V_k and Q^k, from k = 0 up to d
+    for bit in bin(d)[2:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = (u + v) * half % n, (D * u + v) * half % n, qk * q % n
+    if u == 0:
+        return True
+    for _ in range(s):  # V_{d 2^r} for r = 0 .. s-1
+        if v == 0:
+            return True
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for an odd n > 0."""
+    a, t = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            t = -t if n % 8 in (3, 5) else t
+        a, n = n, a
+        t = -t if a % 4 == n % 4 == 3 else t
+        a %= n
+    return t if n == 1 else 0
 
 
 @dataclass

@@ -3,12 +3,14 @@
 The ambient vector space of the span machinery is the flattening of the m x m
 matrix algebra (dimension m^2). Everything is exact: on the fast path
 (p <= FAST_PATH_MAX) arrays are int64 and gemm_mod runs three float64 BLAS
-multiplies on 16-bit limbs (Karatsuba); larger moduli fall back to python
-bigint (object-dtype) arrays. Elimination has one kernel, row_rank_profile,
-which halves blocks so that nearly all its work is gemm_mod (Jeannerod,
-Pernet and Storjohann, "Rank-profile revealing Gaussian elimination and the
-CUP matrix decomposition", JSC 2013). All kernels report their counted
-multiplications/additions to the field's OpCounter.
+multiplies, one per 11-bit limb of its smaller operand, against the other
+operand converted once (as in FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM
+TOMS 2008); larger moduli fall back to python bigint (object-dtype) arrays.
+Elimination has one kernel, row_rank_profile, which halves blocks so that
+nearly all its work is gemm_mod (Jeannerod, Pernet and Storjohann, "Rank-
+profile revealing Gaussian elimination and the CUP matrix decomposition",
+JSC 2013). All kernels report their counted operations to the field's
+OpCounter.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ import numpy as np
 from .errors import SingularMatrixError
 from .field import PrimeField
 
-_LIMB_MASK = (1 << 16) - 1
-
-# Deeper fast-path products run in chunks. The exactness limit of every
-# fast-path modulus lies between 2^15 and this cap, so tests reach it.
+# Deeper fast-path products run in chunks. The exactness limit is 2,049 at
+# DEFAULT_PRIME and 1,448 at the largest fast-path modulus; moduli below
+# about 2^25 reach this cap, which keeps it within reach of tests.
 _MAX_GEMM_DEPTH = 1 << 17
 
 # Output entries per slice of a fast-path product's int64 tail, which then
@@ -43,19 +44,12 @@ _SMALL = 1024
 
 @functools.lru_cache(maxsize=None)
 def gemm_depth_limit(p: int) -> int:
-    """Deepest fast-path product that gemm_mod computes in one piece.
-
-    With a = a1 * 2^16 + a0, the float64 products D2 = A1 B1, D0 = A0 B0 and
-    Ds = (A1 + A0)(B1 + B0) are exact while Ds < 2^53, and the int64 tail
-    D2 * 2^16 + (Ds - D2 - D0) must stay below 2^63.
-    """
-    hi = (p - 1) >> 16  # largest high limb
-    lo = min(p - 1, _LIMB_MASK)  # largest low limb
-    top = max(hi + ((p - 1) & _LIMB_MASK), hi - 1 + lo) if hi else p - 1
-    limit = ((1 << 53) - 1) // (top * top)
-    if hi:
-        limit = min(limit, ((1 << 63) - 1) // ((hi * hi << 16) + 2 * hi * lo))
-    return min(limit, _MAX_GEMM_DEPTH)
+    """Deepest fast-path product that gemm_mod computes in one piece: the
+    limb products are exact while r (p-1)(2^11-1) < 2^53, and the first
+    Horner step D2 * 2^11 + D1 stays below 2^63, as D2's limbs are <= top."""
+    top = (p - 1) >> 22
+    return min(((1 << 53) - 1) // ((p - 1) * 2047),
+               ((1 << 63) - 1) // ((p - 1) * (top * 2048 + 2047)), _MAX_GEMM_DEPTH)
 
 
 def gemm_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -73,48 +67,52 @@ def gemm_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if field.dtype is object:
         return np.matmul(a, b) % p
     step = gemm_depth_limit(p)
-    if r <= step:
-        return _gemm_limbs(p, a, b)
     out = _gemm_limbs(p, a[..., :step], b[..., :step, :])
     for lo in range(step, r, step):
         out += _gemm_limbs(p, a[..., lo : lo + step], b[..., lo : lo + step, :])
-    return _mod(p, out)
+    return out if r <= step else _mod(p, out)
 
 
 def _gemm_limbs(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Fast-path gemm_mod of depth <= gemm_depth_limit(p).
 
-    The three limb products are whole BLAS calls. Sliced, each would be a
-    threaded call of well under a millisecond, and such a call stalls for a
-    scheduler time slice whenever another process holds one of the CPUs.
-    Only the int64 tail runs in slices, which stay in cache.
+    Only the operand with fewer entries is split into limbs; the other is
+    converted to float64 once, exactly, since residues are below 2^32. The
+    three limb products D2, D1, D0 are whole BLAS calls into one buffer.
+    Sliced, each would be a threaded call of well under a millisecond, and
+    such a call stalls for a scheduler time slice whenever another process
+    holds one of the CPUs. Each is folded into the int64 result by Horner,
+    in slices that stay in cache: y = D2, then y = (y * 2^11 + D) mod p.
     """
-    d2, d0, mid = (np.matmul(x, y) for x, y in zip(_limbs(a), _limbs(b)))
-    mid -= d2
-    mid -= d0  # A1 B0 + A0 B1, exact
-    out = np.empty(d2.shape, dtype=np.int64)
-    flat = [x.reshape(-1) for x in (out, d2, mid, d0)]
+    swap = a.size > b.size  # split b, not a
+    x2, x1, x0 = _limbs(b if swap else a)
+    big = (a if swap else b).astype(np.float64)
+    d = np.matmul(big, x2) if swap else np.matmul(x2, big)
+    out = d.astype(np.int64)
+    flat_out, flat_d = out.reshape(-1), d.reshape(-1)
     scratch = np.empty(min(out.size, _TAIL_SLICE), dtype=np.int64)
-    for lo in range(0, out.size, _TAIL_SLICE):
-        y, hi, md, low = (x[lo : lo + _TAIL_SLICE] for x in flat)
-        t = scratch[: y.size]
-        # ((D2 * 2^16 + mid) mod p) * 2^16 + D0 < 2^50, then mod p
-        np.copyto(y, hi, casting="unsafe")
-        y <<= 16
-        np.copyto(t, md, casting="unsafe")
-        y += t
-        _mod(p, y, t)
-        y <<= 16
-        np.copyto(t, low, casting="unsafe")
-        y += t
-        _mod(p, y, t)
+    for x in (x1, x0):
+        np.matmul(big, x, out=d) if swap else np.matmul(x, big, out=d)
+        for lo in range(0, out.size, _TAIL_SLICE):
+            acc = flat_out[lo : lo + _TAIL_SLICE]
+            t = scratch[: acc.size]
+            # D2 * 2^11 + D1 < 2^63, then (y mod p) * 2^11 + D0 < 2^54
+            acc <<= 11
+            np.copyto(t, flat_d[lo : lo + _TAIL_SLICE], casting="unsafe")
+            acc += t
+            _mod(p, acc, t)
     return out
 
 
-def _limbs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """High limb, low limb and their sum, as float64."""
-    hi, lo = (x >> 16).astype(np.float64), (x & _LIMB_MASK).astype(np.float64)
-    return hi, lo, hi + lo
+def _limbs(x: np.ndarray) -> np.ndarray:
+    """The 11-bit limbs x2, x1, x0 of x = x2 * 2^22 + x1 * 2^11 + x0, as
+    float64, written with no int64 temporaries."""
+    out = np.empty((3,) + x.shape)
+    np.right_shift(x, 22, out=out[0], casting="unsafe")
+    np.bitwise_and(x, 2047 << 11, out=out[1], casting="unsafe")
+    out[1] *= 2.0**-11
+    np.bitwise_and(x, 2047, out=out[2], casting="unsafe")
+    return out
 
 
 def _mod(p: int, y: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -325,8 +323,8 @@ class EchelonState:
 
         v = c @ originals forces c = v[pivot_cols] @ inv; c is returned iff
         that equation holds exactly on every column. The check runs over
-        square rank x rank column blocks of originals, so it never splits
-        more of originals into limbs at once than the product with inv does.
+        square rank x rank column blocks of originals, so it never converts
+        more of originals to float64 at once than the product with inv does.
         """
         f, vec = self.field, np.asarray(v) % self.field.p
         if vec.shape != (self.ambient,):

@@ -2,6 +2,7 @@
 operation counters."""
 
 import json
+import math
 import random
 
 import pytest
@@ -33,16 +34,40 @@ def test_strong_pseudoprime_to_bases_up_to_37_rejected():
     assert 399165290221 * 798330580441 == PSI_12
     with pytest.raises(ValueError):
         bb.PrimeField(PSI_12)
-    # the test is exact below PSI_13, which passes all 13 bases
+    # PSI_13 passes all 13 Miller-Rabin bases; the strong Lucas step rejects it
     assert 1287836182261 * 2575672364521 == PSI_13
-    assert is_probable_prime(PSI_13)
+    assert not is_probable_prime(PSI_13)
+    with pytest.raises(ValueError):
+        bb.PrimeField(PSI_13)
+
+
+# Strong Lucas pseudoprimes (OEIS A217255): composites that pass the Lucas
+# step alone, so Miller-Rabin must reject them
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+
+
+def test_each_half_of_baillie_psw_rejects_the_other_halfs_pseudoprimes():
+    for n in STRONG_LUCAS_PSEUDOPRIMES:
+        assert bb.field._strong_lucas(n) and not is_probable_prime(n)
+    assert not bb.field._strong_lucas(PSI_13)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 3037000493, 2**62 - 57, 2**127 - 1])
+def test_large_primes_accepted(p):
+    assert is_probable_prime(p) and bb.PrimeField(p).p == p
+
+
+def test_primality_matches_trial_division_below_5000():
+    for n in range(5000):
+        assert is_probable_prime(n) == (n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))), n
 
 
 def test_transcript_with_a_pseudoprime_modulus_names_p():
     doc = json.loads(bb.write_transcript(honest_run(1, "burau", 4, seed=1)))
-    doc["p"] = str(PSI_12)
-    with pytest.raises(bb.TranscriptFormatError, match="^transcript field p: "):
-        bb.read_transcript(json.dumps(doc))
+    for psi in (PSI_12, PSI_13):
+        doc["p"] = str(psi)
+        with pytest.raises(bb.TranscriptFormatError, match="^transcript field p: "):
+            bb.read_transcript(json.dumps(doc))
 
 
 def _gemm(f, a, b):

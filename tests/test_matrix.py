@@ -1,5 +1,6 @@
 """Exact matrix algebra, the GEMM kernel, and the incremental RREF engine."""
 
+import itertools
 import random
 
 import numpy as np
@@ -265,9 +266,10 @@ def test_object_dtype_field_matches_fast_path():
 LARGEST_FAST_PRIME = 3037000493  # the largest prime <= FAST_PATH_MAX
 
 
-def limb_sum_argmax(p):
-    """The residue whose two 16-bit limbs have the largest sum."""
-    return max(p - 1, ((p - 1) >> 16 << 16) - 1, key=lambda a: (a >> 16) + (a & 0xFFFF))
+def limb_worst_cases(p):
+    """p - 1, which has the largest top 11-bit limb, and the largest residue
+    whose two low limbs are both 2^11 - 1, if there is one."""
+    return sorted({v for v in (p - 1, (p >> 22 << 22) - 1) if v >= 0})
 
 
 @pytest.mark.parametrize("p", [3, bb.DEFAULT_PRIME, LARGEST_FAST_PRIME])
@@ -275,22 +277,27 @@ def test_gemm_depth_limit_and_chunked_path(p):
     f = bb.PrimeField(p)
     assert f.dtype is np.int64 and bb.field.is_probable_prime(p)
     limit = gemm_depth_limit(p)
-    assert 1 << 15 < limit <= 1 << 17
-    for v in sorted({p - 1, limb_sum_argmax(p)}):
+    # r (p-1)(2^11-1) < 2^53 keeps the limb products exact; p = 3 hits the cap
+    assert limit == {3: 1 << 17, bb.DEFAULT_PRIME: 2049, LARGEST_FAST_PRIME: 1448}[p]
+    assert limit * (p - 1) * 2047 < 1 << 53
+    worst = limb_worst_cases(p)
+    for u, v in itertools.product(worst, worst):
         for r in (limit, limit + 1):  # one piece, then two chunks
-            want = r * v * v % p  # every entry of the all-v product
-            shapes = [
-                ((2, r), (r, 3)),  # plain
-                ((1, r), (r, 2)),  # a single row
-                ((2, 2, r), (1, r, 2)),  # batch on the left
-                ((1, 2, r), (2, r, 3)),  # batch on the right
-                ((2, r), (2, r, 2)),  # 2-D against batched
+            want = r * u * v % p  # every entry of the all-u by all-v product
+            shapes = [  # the operand with fewer entries is split
+                ((2, r), (r, 3)),  # plain, a split
+                ((3, r), (r, 2)),  # plain, b split
+                ((1, r), (r, 2)),  # a single row, a split
+                ((2, 2, r), (1, r, 2)),  # batch on the left, b split
+                ((1, 2, r), (2, r, 3)),  # batch on the right, a split
+                ((2, r), (2, r, 2)),  # 2-D against batched, a split
+                ((2, 3, r), (r, 1)),  # batched against 2-D, b split
             ]
             for sa, sb in shapes:
-                got = gemm_mod(f, np.full(sa, v, dtype=np.int64), np.full(sb, v, dtype=np.int64))
+                got = gemm_mod(f, np.full(sa, u, dtype=np.int64), np.full(sb, v, dtype=np.int64))
                 assert got.dtype == np.int64
                 assert got.shape == np.broadcast_shapes(sa[:-2], sb[:-2]) + (sa[-2], sb[-1])
-                assert (got == want).all(), (v, r, sa, sb)
+                assert (got == want).all(), (u, v, r, sa, sb)
 
 
 @pytest.mark.parametrize("p", [3, bb.DEFAULT_PRIME, LARGEST_FAST_PRIME])
