@@ -153,9 +153,7 @@ def stage_bases(t: Transcript):
         for name in names:
             if not getattr(t, name).a.any():
                 what = "zero matrix" if name == core_name else f"message {name} is a zero matrix"
-                raise MalformedTranscriptError(
-                    stage_no, core_name, f"stage {stage_no}, core {core_name}: {what}"
-                )
+                raise MalformedTranscriptError(stage_no, core_name, what)
     gens = {"A": pair.a_gens, "B": pair.b_gens}
     sides = SideSpec.mixed(*(gens[group] for group in PROTOCOLS[t.protocol_id].sides))
     for stage_no, (core_name, target_name) in enumerate(STAGES, 1):
@@ -164,9 +162,7 @@ def stage_bases(t: Transcript):
             first = basis.dim
         elif basis.dim != first:
             raise MalformedTranscriptError(
-                stage_no, core_name,
-                f"stage {stage_no}, core {core_name}: basis dim {basis.dim} "
-                f"differs from stage 1's {first}",
+                stage_no, core_name, f"basis dim {basis.dim} differs from stage 1's {first}",
                 rank=basis.dim,
             )
         yield stage_no, core_name, target_name, basis
@@ -183,10 +179,7 @@ def attack_transcript(t: Transcript) -> AttackReport:
         try:
             coeffs = express(basis, getattr(t, target_name))
         except NotInSpanError as e:
-            raise MalformedTranscriptError(
-                stage_no, core_name, f"stage {stage_no}, core {core_name}: {e}",
-                rank=basis.dim,
-            ) from e
+            raise MalformedTranscriptError(stage_no, core_name, str(e), rank=basis.dim) from e
         replacement = substitute(basis, coeffs, replacement)
         stages.append(StageReport(
             stage=stage_no,

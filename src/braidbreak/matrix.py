@@ -322,17 +322,10 @@ class EchelonState:
         """Coordinates of v in the originally inserted vectors, or None.
 
         v = c @ originals forces c = v[pivot_cols] @ inv; c is returned iff
-        that equation holds exactly on every column. The check runs over
-        square rank x rank column blocks of originals, so it never converts
-        more of originals to float64 at once than the product with inv does.
+        that equation holds exactly on every column.
         """
         f, vec = self.field, np.asarray(v) % self.field.p
         if vec.shape != (self.ambient,):
             raise ValueError(f"expected vector of length {self.ambient}")
         c = gemm_mod(f, vec[None, self.pivot_cols], self.inv)
-        step = max(self.rank or self.ambient, 1)  # one block when empty
-        for lo in range(0, self.ambient, step):
-            block = self.originals[:, lo : lo + step]
-            if not np.array_equal(gemm_mod(f, c, block)[0], vec[lo : lo + step]):
-                return None
-        return c[0]
+        return c[0] if np.array_equal(gemm_mod(f, c, self.originals)[0], vec) else None

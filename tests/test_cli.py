@@ -233,7 +233,7 @@ def test_unknown_command_exits_2():
 
 def test_selftest_cli(capsys):
     assert run_cli(["selftest"]) == 0
-    assert "all 6 suites passed" in capsys.readouterr().out
+    assert "all 4 suites passed" in capsys.readouterr().out
 
 
 def test_selftest_detects_broken_solver(monkeypatch):
@@ -251,7 +251,7 @@ def test_selftest_detects_broken_solver(monkeypatch):
         return coords
 
     monkeypatch.setattr(EchelonState, "solve", corrupted)
-    results = {name: ok for name, ok, _ in run_selftest(log=lambda *_: None)}
+    results = {name: ok for name, ok, _ in run_selftest()}
     assert results["attack_soundness"] is False
 
 
@@ -272,7 +272,7 @@ def test_selftest_detects_perturbed_representation(monkeypatch):
         return bb.Representation(field, n, images, r.params)
 
     monkeypatch.setattr(st, "lk_representation", perturbing)
-    results = {name: ok for name, ok, _ in run_selftest(log=lambda *_: None)}
+    results = {name: ok for name, ok, _ in run_selftest()}
     assert results["braid_relations"] is False
 
 

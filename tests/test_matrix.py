@@ -144,8 +144,8 @@ def test_solve_coordinates_not_in_span():
 
 
 def test_solve_checks_every_column_block():
-    # rank 2 of ambient 7: the check runs over column blocks [0, 2), [2, 4),
-    # [4, 6) and [6, 7); a mismatch in any one of them is caught
+    # rank 2 of ambient 7: the check covers all 7 columns, so a mismatch in
+    # any column past the pivots is caught
     f = field()
     state = state_of(f, [[1, 0, 2, 0, 0, 0, 3], [0, 1, 0, 0, 5, 0, 0]])
     good = [3, 4, 6, 0, 20, 0, 9]
