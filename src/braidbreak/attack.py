@@ -29,7 +29,7 @@ from .braid import commuting_subgroups, representation
 from .errors import (
     MalformedTranscriptError, NotInSpanError, RelationValidationError, TranscriptFormatError,
 )
-from .matrix import SquareMatrix
+from .matrix import EchelonState, SquareMatrix
 from .protocol import PROTOCOLS, SCHEMA_VERSION, HonestRun, Transcript
 from .span import SideSpec, build_decorated_basis, express, substitute
 
@@ -128,9 +128,10 @@ def stage_bases(t: Transcript):
     platform's constructor rejects, raises TranscriptFormatError; a listed
     generator matrix or inverse that differs from the rebuilt platform
     raises RelationValidationError naming the first such field in listed
-    order; and a zero message, which no braid image is, raises
+    order; a zero message, which no braid image is, raises
     MalformedTranscriptError naming the stage that reads it and that stage's
-    core (x and u: stage 1, core w; y: 2, h; v: 3, z).
+    core (x and u: stage 1, core w; y: 2, h; v: 3, z); and so does a
+    singular u (stage 1, core w), the one message no stage expresses.
     """
     # Burau reads no q; representation rejects any other kind
     params = {"lk": "fields q, t", "burau": "field t"}.get(t.rep_kind, "field rep_kind")
@@ -154,6 +155,8 @@ def stage_bases(t: Transcript):
             if not getattr(t, name).a.any():
                 what = "zero matrix" if name == core_name else f"message {name} is a zero matrix"
                 raise MalformedTranscriptError(stage_no, core_name, what)
+    if not EchelonState(t.field, t.dim).extend_batch(t.u.a).all():
+        raise MalformedTranscriptError(1, "w", "message u is singular")
     gens = {"A": pair.a_gens, "B": pair.b_gens}
     sides = SideSpec.mixed(*(gens[group] for group in PROTOCOLS[t.protocol_id].sides))
     for stage_no, (core_name, target_name) in enumerate(STAGES, 1):

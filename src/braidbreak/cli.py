@@ -178,11 +178,9 @@ def cmd_bench(args) -> int:
     try:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     except ValueError:
-        print(f"bad --n-list {args.n_list!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"bad --n-list {args.n_list!r}") from None
     if not n_list:
-        print("--n-list must be nonempty", file=sys.stderr)
-        return 2
+        raise ValueError("--n-list must be nonempty")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     protocols = (1, 2) if args.protocol is None else (args.protocol,)

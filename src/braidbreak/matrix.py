@@ -33,9 +33,9 @@ _MAX_GEMM_DEPTH = 1 << 17
 # stays in cache.
 _TAIL_SLICE = 1 << 15
 
-# Blocks of at most this many rows are profiled row by row, larger ones are
-# halved. 16, 32 and 48 tie on the benchmark workloads; 32 inverts the
-# 24..45-dimensional representation matrices fastest.
+# Blocks of at most this many rows are profiled row by row, larger ones are halved.
+# Median ms at 16/32/48, 12 repeats on 2 vCPUs: p2-lk-n8 trial 368/391/399, p1-lk-n10
+# 797/856/868, sweep-small 20/20/20, 60 transcripts-io generator inverses 100/84/81.
 _LEAF = 32
 
 # Arrays below this many entries are reduced mod p with numpy's remainder.

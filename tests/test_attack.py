@@ -172,6 +172,23 @@ def test_zero_core_raises_stage_labeled_error(monkeypatch, stage, core, name, me
     assert (exc.value.stage, exc.value.core, exc.value.rank) == (stage, core, None)
 
 
+def test_singular_message_raises_stage_labeled_error():
+    # row 0 of one message overwritten by row 1, for each of the seven: 56
+    # cases. The other six fail a stage, but u, which no stage expresses,
+    # would be substituted as given; its rank test names it
+    configs = itertools.product((1, 2), (("lk", 4), ("burau", 5)), (0, 1))
+    for protocol_id, (rep_kind, n), seed in configs:
+        t = honest_run(protocol_id, rep_kind, n, seed=seed).transcript
+        for name in "hxywzuv":
+            a = getattr(t, name).a.copy()
+            a[0] = a[1]
+            with pytest.raises(bb.MalformedTranscriptError) as exc:
+                bb.attack_transcript(dataclasses.replace(t, **{name: bb.SquareMatrix(t.field, a)}))
+            if name == "u":
+                assert str(exc.value) == "stage 1, core w: message u is singular"
+                assert (exc.value.stage, exc.value.core, exc.value.rank) == (1, "w", None)
+
+
 def test_unknown_rep_kind_raises_before_any_build(monkeypatch):
     t = dataclasses.replace(honest_run(1, "burau", 5, seed=22).transcript, rep_kind="foo")
     monkeypatch.setattr(braidbreak.attack, "build_decorated_basis", None)
@@ -394,10 +411,10 @@ def test_message_swap_outcomes_pinned():
 # CHANGES.md, with the old and the new values.
 PINNED_COUNTS = [
     # (protocol, rep, stage dims, (mul, add, inv)) at n=5, seed 31
-    (1, "lk", (40, 40, 40), (1756631, 1658941, 174)),
-    (1, "burau", (9, 9, 9), (43191, 36116, 52)),
-    (2, "lk", (31, 31, 31), (766263, 706556, 150)),
-    (2, "burau", (8, 8, 8), (28742, 23266, 51)),
+    (1, "lk", (40, 40, 40), (1758831, 1660941, 184)),
+    (1, "burau", (9, 9, 9), (43491, 36366, 57)),
+    (2, "lk", (31, 31, 31), (768463, 708556, 160)),
+    (2, "burau", (8, 8, 8), (29042, 23516, 56)),
 ]
 
 

@@ -183,7 +183,9 @@ def test_bench_deterministic_counts(tmp_path):
 
 def test_bench_bad_n_list(capsys):
     assert run_cli(["bench", "--n-list", "four"]) == 2
+    assert capsys.readouterr().err == "usage error: bad --n-list 'four'\n"
     assert run_cli(["bench", "--n-list", ""]) == 2
+    assert capsys.readouterr().err == "usage error: --n-list must be nonempty\n"
 
 
 def test_bench_honours_split(tmp_path):

@@ -216,13 +216,13 @@ def test_transcript_bytes_pinned(config):
 # SHA-256 of the report and the bases that `attack --out --dump-bases` writes
 # for the transcript of (protocol, rep, n=5, seed=1): (report, bases).
 REPORT_DIGESTS = {
-    (1, "lk"): ("cd67fcf78a791c109896b756a188241ab39e86d11dde8792fb80a2d380e2abbb",
+    (1, "lk"): ("f715bea498580774d9bc829071b57a3775b3ef87d2c31bd738b9a2e840ad4acc",
                 "11c965c91ce273799f94f4298d0875b624eb0adf5c8794387cd6f1e5fe9a36d1"),
-    (1, "burau"): ("79bb3469dede8567558036a84d5a13721e4e001ddeeb3ae531c52218ad65851f",
+    (1, "burau"): ("6f00242fa981448a700e61359bcb4c084b80a847b7c13a00f9e2e2725cc435c2",
                    "24589305d8af4c4b1f1ab1ee9daa4e5fe1d990b7d598d93cad9738e1ffc0af24"),
-    (2, "lk"): ("d0491945b3206c5d7ff5edd7a8b3137a98871b5606d29f2e55fda3f0c340c7e6",
+    (2, "lk"): ("e9e93e654fdbfc3ef4783f98b87a26b4b2df625dff15899afccf43b1647bc8c7",
                 "3360f705df4ac2bfca0a5390f4f82a44eb403ce5cf26537d6a3a5ccc5a075b55"),
-    (2, "burau"): ("317b08c9424d24c5a8dcd929cdb0158ebe1fda4604887f56dc4b5858c00e0759",
+    (2, "burau"): ("7717d52a3120df5560a677a91a09e700306605c3873e0065c5b7c69b2d6b2709",
                    "cfa261aeec5a16fadf85cfdb6dfd168240c10dd67a1abea2640485fca6103cf1"),
 }
 
