@@ -90,8 +90,7 @@ def suite_span_fixpoint() -> None:
 
 def suite_attack_soundness() -> None:
     for rep_kind in ("burau", "lk"):
-        base = ProtocolParams(protocol_id=1, n=4, rep_kind=rep_kind, seed=99)
-        for _, run, report in run_bench(base, [4]):
+        for _, run, report in run_bench(ProtocolParams(rep_kind=rep_kind, seed=99), [4]):
             assert verify_against_oracle(report, run), (
                 f"recovery failed: protocol={report.protocol_id} rep={rep_kind} n=4"
             )
