@@ -187,7 +187,7 @@ def attack_transcript(t: Transcript) -> AttackReport:
         stages.append(StageReport(
             stage=stage_no,
             basis_dim=basis.dim,
-            u_size=basis.u_size,
+            u_size=basis.sides.u_size,
             build_mul_count=basis.build_mul_count,
             bound_value=basis.bound_value(),
             intermediate=replacement,

@@ -43,30 +43,24 @@ def run_bench(base: ProtocolParams, n_list, protocols=(1, 2), trials: int = 1):
         yield seed, run, attack_transcript(run.transcript)
 
 
-def fit_slope(pairs: Pairs) -> float:
-    """Least-squares slope of log(median mul_count) against log(dim)."""
-    by_dim: dict[int, list[int]] = {}
-    for _, r in pairs:
-        by_dim.setdefault(r.dim, []).append(r.mul_count)
-    if len(by_dim) < 2:
-        raise ValueError("need at least two distinct dims to fit a slope")
-    pts = []
-    for dim, muls in sorted(by_dim.items()):
-        pts.append((math.log(dim), math.log(statistics.median_high(muls))))
-    xbar = sum(x for x, _ in pts) / len(pts)
-    ybar = sum(y for _, y in pts) / len(pts)
-    num = sum((x - xbar) * (y - ybar) for x, y in pts)
-    den = sum((x - xbar) ** 2 for x, _ in pts)
-    return num / den
-
-
 def slopes_by_protocol(pairs: Pairs) -> dict[int, float]:
-    """Per-protocol growth fit; protocols with a single dim are skipped."""
+    """Per-protocol least-squares slope of log(median mul_count) against
+    log(dim); protocols with a single dim are skipped."""
     out = {}
     for protocol_id in sorted({r.protocol_id for _, r in pairs}):
-        sub = [(s, r) for s, r in pairs if r.protocol_id == protocol_id]
-        if len({r.dim for _, r in sub}) >= 2:
-            out[protocol_id] = fit_slope(sub)
+        by_dim: dict[int, list[int]] = {}
+        for _, r in pairs:
+            if r.protocol_id == protocol_id:
+                by_dim.setdefault(r.dim, []).append(r.mul_count)
+        if len(by_dim) < 2:
+            continue
+        pts = [(math.log(dim), math.log(statistics.median_high(muls)))
+               for dim, muls in sorted(by_dim.items())]
+        xbar = sum(x for x, _ in pts) / len(pts)
+        ybar = sum(y for _, y in pts) / len(pts)
+        num = sum((x - xbar) * (y - ybar) for x, y in pts)
+        den = sum((x - xbar) ** 2 for x, _ in pts)
+        out[protocol_id] = num / den
     return out
 
 

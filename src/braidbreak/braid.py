@@ -13,6 +13,7 @@ matrix images; faithfulness is never needed, only the homomorphism property.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -178,10 +179,6 @@ def _commutes(field: PrimeField, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return (gemm_mod(field, x, ys) == gemm_mod(field, ys, x)).all(axis=(1, 2))
 
 
-def _lk_pairs(n: int) -> list[tuple[int, int]]:
-    return [(s, u) for s in range(1, n + 1) for u in range(s + 1, n + 1)]
-
-
 def representation(field: PrimeField, rep_kind: str, n: int, q: int, t: int) -> Representation:
     """The rep_kind ("lk" or "burau") image of B_n; Burau does not use q."""
     if rep_kind == "lk":
@@ -203,7 +200,7 @@ def lk_representation(field: PrimeField, n: int, q: int, t: int) -> Representati
     qv, tv = int(q) % p, int(t) % p
     if qv in (0, 1) or tv == 0:
         raise ValueError("need q not in {0, 1} and t != 0")
-    pairs = _lk_pairs(n)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
     index = {pr: k for k, pr in enumerate(pairs)}
     m = len(pairs)
     images = []

@@ -24,11 +24,6 @@ import numpy as np
 from .errors import SingularMatrixError
 from .field import PrimeField
 
-# Deeper fast-path products run in chunks. The exactness limit is 2,049 at
-# DEFAULT_PRIME and 1,448 at the largest fast-path modulus; moduli below
-# about 2^25 reach this cap, which keeps it within reach of tests.
-_MAX_GEMM_DEPTH = 1 << 17
-
 # Output entries per slice of a fast-path product's int64 tail, which then
 # stays in cache.
 _TAIL_SLICE = 1 << 15
@@ -45,11 +40,11 @@ _SMALL = 1024
 @functools.lru_cache(maxsize=None)
 def gemm_depth_limit(p: int) -> int:
     """Deepest fast-path product that gemm_mod computes in one piece: the
-    limb products are exact while r (p-1)(2^11-1) < 2^53, and the first
-    Horner step D2 * 2^11 + D1 stays below 2^63, as D2's limbs are <= top."""
-    top = (p - 1) >> 22
-    return min(((1 << 53) - 1) // ((p - 1) * 2047),
-               ((1 << 63) - 1) // ((p - 1) * (top * 2048 + 2047)), _MAX_GEMM_DEPTH)
+    limb products are exact while r (p-1)(2^11-1) < 2^53. That implies the
+    first Horner step D2 * 2^11 + D1 <= r (p-1)(top * 2^11 + 2^11 - 1) stays
+    below 2^63: the top limb (p-1) >> 22 is at most 724 on the fast path,
+    so the step is below 2^53 * 725.4 < 2^62.51."""
+    return ((1 << 53) - 1) // ((p - 1) * 2047)
 
 
 def gemm_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:

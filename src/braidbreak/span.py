@@ -152,13 +152,9 @@ class DecoratedBasis:
     def dim(self) -> int:
         return self.echelon.rank
 
-    @property
-    def u_size(self) -> int:
-        return self.sides.u_size
-
     def bound_value(self) -> int:
         """r^3 |U|^2 + r |W|^2 for this build (r = basis dimension, |W| = 1)."""
-        r, u = self.dim, self.u_size
+        r, u = self.dim, self.sides.u_size
         return r**3 * u**2 + r
 
     @functools.cached_property

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 import braidbreak as bb
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -22,3 +24,18 @@ def test_benchmark_tracer_finds_every_target(monkeypatch):
     import tracing
 
     assert tracing.Tracer().missing == []
+
+
+@pytest.mark.parametrize("kind", ["attack", "io"])
+def test_every_benchmark_span_is_entered(monkeypatch, kind):
+    # a traced benchmark run fails when one of its layer spans is never entered
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import lab
+    import run
+    import tracing
+
+    tracer = tracing.Tracer()
+    with tracer.trial(0):
+        out = lab.run_trial(bb, kind, bb.ProtocolParams(protocol_id=2, n=4, rep_kind="lk", seed=1))
+    lab.check(kind, out)
+    assert run.unmeasured(tracer, kind, 1.0) == []

@@ -272,13 +272,13 @@ def limb_worst_cases(p):
     return sorted({v for v in (p - 1, (p >> 22 << 22) - 1) if v >= 0})
 
 
-@pytest.mark.parametrize("p", [3, bb.DEFAULT_PRIME, LARGEST_FAST_PRIME])
+@pytest.mark.parametrize("p", [bb.DEFAULT_PRIME, LARGEST_FAST_PRIME])
 def test_gemm_depth_limit_and_chunked_path(p):
     f = bb.PrimeField(p)
     assert f.dtype is np.int64 and bb.field.is_probable_prime(p)
     limit = gemm_depth_limit(p)
-    # r (p-1)(2^11-1) < 2^53 keeps the limb products exact; p = 3 hits the cap
-    assert limit == {3: 1 << 17, bb.DEFAULT_PRIME: 2049, LARGEST_FAST_PRIME: 1448}[p]
+    # r (p-1)(2^11-1) < 2^53 keeps the limb products exact
+    assert limit == {bb.DEFAULT_PRIME: 2049, LARGEST_FAST_PRIME: 1448}[p]
     assert limit * (p - 1) * 2047 < 1 << 53
     worst = limb_worst_cases(p)
     for u, v in itertools.product(worst, worst):
@@ -298,6 +298,16 @@ def test_gemm_depth_limit_and_chunked_path(p):
                 assert got.dtype == np.int64
                 assert got.shape == np.broadcast_shapes(sa[:-2], sb[:-2]) + (sa[-2], sb[-1])
                 assert (got == want).all(), (u, v, r, sa, sb)
+
+
+def test_gemm_depth_limit_keeps_the_horner_step_in_int64():
+    # D2 * 2^11 + D1 <= r (p-1)(top * 2^11 + 2^11 - 1) with top = (p-1) >> 22;
+    # the integers (k << 22) + 1 are where the top limb grows, prime or not
+    ps = [3, bb.DEFAULT_PRIME, LARGEST_FAST_PRIME, bb.field.FAST_PATH_MAX]
+    ps += [(k << 22) + 1 for k in range(1, 725)]
+    for p in ps:
+        top = (p - 1) >> 22
+        assert gemm_depth_limit(p) * (p - 1) * (top * 2048 + 2047) < 2**63, p
 
 
 @pytest.mark.parametrize("p", [3, bb.DEFAULT_PRIME, LARGEST_FAST_PRIME])
