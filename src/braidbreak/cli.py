@@ -15,7 +15,7 @@ from pathlib import Path
 from .attack import attack_transcript, stage_bases, verify_against_oracle
 from .bench import bench_document, format_table, run_bench
 from .errors import BraidbreakError, TranscriptFormatError
-from .field import DEFAULT_PRIME
+from .field import DEFAULT_PRIME, FAST_PATH_MAX
 from .protocol import (
     SCHEMA_VERSION,
     ProtocolParams,
@@ -32,7 +32,8 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--protocol", type=int, choices=(1, 2), default=1)
     p.add_argument("--n", type=int, default=6, help="strand count (default 6)")
     p.add_argument("--rep", choices=("lk", "burau"), default="lk")
-    p.add_argument("--p", type=int, default=DEFAULT_PRIME, help="field modulus")
+    p.add_argument("--p", type=int, default=DEFAULT_PRIME,
+                   help=f"field modulus, an odd prime <= {FAST_PATH_MAX}")
     p.add_argument("--split", type=int, default=None,
                    help="A uses indices < split, B uses > split (default n//2)")
     p.add_argument("--len-min", type=int, default=5)

@@ -1,11 +1,11 @@
 """Dense exact matrix/vector algebra over F_p and blocked RREF.
 
 The ambient vector space of the span machinery is the flattening of the m x m
-matrix algebra (dimension m^2). Everything is exact: on the fast path
-(p <= FAST_PATH_MAX) arrays are int64 and gemm_mod runs three float64 BLAS
+matrix algebra (dimension m^2). Everything is exact: arrays are int64 (the
+field bounds p by FAST_PATH_MAX) and gemm_mod runs three float64 BLAS
 multiplies, one per 11-bit limb of its smaller operand, against the other
 operand converted once (as in FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM
-TOMS 2008); larger moduli fall back to python bigint (object-dtype) arrays.
+TOMS 2008).
 Elimination has one kernel, row_rank_profile, which halves blocks so that
 nearly all its work is gemm_mod (Jeannerod, Pernet and Storjohann, "Rank-
 profile revealing Gaussian elimination and the CUP matrix decomposition",
@@ -24,8 +24,8 @@ import numpy as np
 from .errors import SingularMatrixError
 from .field import PrimeField
 
-# Output entries per slice of a fast-path product's int64 tail, which then
-# stays in cache.
+# Output entries per slice of a product's int64 tail, which then stays in
+# cache.
 _TAIL_SLICE = 1 << 15
 
 # Blocks of at most this many rows are profiled row by row, larger ones are halved.
@@ -39,10 +39,10 @@ _SMALL = 1024
 
 @functools.lru_cache(maxsize=None)
 def gemm_depth_limit(p: int) -> int:
-    """Deepest fast-path product that gemm_mod computes in one piece: the
-    limb products are exact while r (p-1)(2^11-1) < 2^53. That implies the
-    first Horner step D2 * 2^11 + D1 <= r (p-1)(top * 2^11 + 2^11 - 1) stays
-    below 2^63: the top limb (p-1) >> 22 is at most 724 on the fast path,
+    """Deepest product that gemm_mod computes in one piece: the limb
+    products are exact while r (p-1)(2^11-1) < 2^53. That implies the first
+    Horner step D2 * 2^11 + D1 <= r (p-1)(top * 2^11 + 2^11 - 1) stays below
+    2^63: the top limb (p-1) >> 22 is at most 724 for p <= FAST_PATH_MAX,
     so the step is below 2^53 * 725.4 < 2^62.51."""
     return ((1 << 53) - 1) // ((p - 1) * 2047)
 
@@ -58,9 +58,6 @@ def gemm_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     batch = max(math.prod(a.shape[:-2]), math.prod(b.shape[:-2]))
     field.ops.mul_count += batch * k * r * n
     field.ops.add_count += batch * k * n * max(r - 1, 0)
-
-    if field.dtype is object:
-        return np.matmul(a, b) % p
     step = gemm_depth_limit(p)
     out = _gemm_limbs(p, a[..., :step], b[..., :step, :])
     for lo in range(step, r, step):
@@ -69,7 +66,7 @@ def gemm_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _gemm_limbs(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Fast-path gemm_mod of depth <= gemm_depth_limit(p).
+    """gemm_mod of depth <= gemm_depth_limit(p).
 
     Only the operand with fewer entries is split into limbs; the other is
     converted to float64 once, exactly, since residues are below 2^32. The
@@ -114,7 +111,7 @@ def _mod(p: int, y: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray
     """y mod p for a fresh nonnegative array y. Large int64 arrays are reduced
     in place through a floor division, which numpy runs several times faster
     than a remainder but in three calls, which cost more on small arrays."""
-    if y.dtype == object or y.size < _SMALL:
+    if y.size < _SMALL:
         return np.remainder(y, p, out=y)
     q = np.floor_divide(y, p, out=scratch)
     q *= p
@@ -126,7 +123,7 @@ def _sub_mod(field: PrimeField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(x - y) mod p for residue arrays, over the fresh array y if large;
     counts one addition per entry."""
     field.ops.add_count += y.size
-    if y.dtype == object or y.size < _SMALL:
+    if y.size < _SMALL:
         return (x - y) % field.p
     np.subtract(x, y, out=y)
     y += (y >> 63) & field.p
@@ -171,7 +168,7 @@ class SquareMatrix:
         return self.field.p == other.field.p and np.array_equal(self.a, other.a)
 
     def __hash__(self):
-        return hash((self.field.p, self.a.tobytes() if self.a.dtype != object else tuple(self.a.reshape(-1))))
+        return hash((self.field.p, self.a.tobytes()))
 
     def to_rows(self) -> list[list[str]]:
         """Rows of decimal strings (the serialization form)."""

@@ -330,9 +330,9 @@ def _int(doc: dict, key: str, where: str = "") -> int:
 
 def _mat(field: PrimeField, rows, dim: int, name: str) -> SquareMatrix:
     """A dim x dim matrix given as rows whose entries follow _as_int's rule.
-    On an int64 field, rows of ints and decimal strings that fit int64 are
-    read straight into int64; anything else is read entry by entry, as
-    python ints, and a bad entry is named."""
+    Rows of ints and decimal strings that fit int64 are read straight into
+    int64; anything else is read entry by entry, as python ints, and a bad
+    entry is named."""
     if not (
         isinstance(rows, list)
         and len(rows) == dim
@@ -340,7 +340,7 @@ def _mat(field: PrimeField, rows, dim: int, name: str) -> SquareMatrix:
     ):
         raise TranscriptFormatError(f"transcript field {name} is not a {dim} x {dim} matrix")
     entries = list(itertools.chain.from_iterable(rows))
-    if field.dtype is not object and set(map(type, entries)) <= _INT_TYPES:
+    if set(map(type, entries)) <= _INT_TYPES:
         try:
             flat = np.fromiter(map(int, entries), np.int64, dim * dim)
             return SquareMatrix(field, np.remainder(flat, field.p).reshape(dim, dim))

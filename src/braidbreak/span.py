@@ -176,20 +176,13 @@ def _confirm_rows(p: int) -> int:
 
 
 def _draw(rng: random.Random, field: PrimeField, shape) -> np.ndarray:
-    """Random residues: integers at least 64 bits wider than p reduced mod p,
-    so uniform to within 2^-64. On the fast path p < 2^32, so two 64-bit
-    words reduce in unsigned 64-bit arithmetic."""
-    k = field.p.bit_length() // 64 + 2  # 64-bit words a residue
-    words = np.frombuffer(rng.randbytes(8 * k * math.prod(shape)), dtype="<u8")
-    words = words.reshape(k, *shape)
-    if field.dtype is not object:
-        p = np.uint64(field.p)
-        hi, lo = words
-        return ((hi % p * np.uint64((1 << 64) % field.p) + lo % p) % p).astype(np.int64)
-    x = 0
-    for w in words:
-        x = (x << 64) + w.astype(object)
-    return x % field.p
+    """Random residues: 128-bit integers, two 64-bit words, reduced mod
+    p < 2^32, so uniform to within 2^-96. The words reduce in unsigned 64-bit
+    arithmetic, as (hi mod p)(2^64 mod p) + (lo mod p) < p^2 < 2^64."""
+    words = np.frombuffer(rng.randbytes(16 * math.prod(shape)), dtype="<u8")
+    hi, lo = words.reshape(2, *shape)
+    p = np.uint64(field.p)
+    return ((hi % p * np.uint64((1 << 64) % field.p) + lo % p) % p).astype(np.int64)
 
 
 def build_decorated_basis(core: SquareMatrix, sides: SideSpec) -> DecoratedBasis:

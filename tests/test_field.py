@@ -8,15 +8,19 @@ import random
 import pytest
 
 import braidbreak as bb
-from braidbreak.field import DEFAULT_PRIME, is_probable_prime
+from braidbreak.field import DEFAULT_PRIME, FAST_PATH_MAX, is_prime
 
 from helpers import field, honest_run
+
+BOUND = "modulus must be an odd prime at most 3037000499, got "
+LARGEST_PRIME = 3037000493  # the largest prime <= FAST_PATH_MAX
+NEXT_PRIME = 3037000507  # the least prime above it
 
 
 def test_default_prime_is_odd_prime_above_2_31():
     assert DEFAULT_PRIME > 2**31
     assert DEFAULT_PRIME % 2 == 1
-    assert is_probable_prime(DEFAULT_PRIME)
+    assert is_prime(DEFAULT_PRIME)
 
 
 @pytest.mark.parametrize("bad", [0, 1, 2, 4, 15, 2**31])
@@ -31,42 +35,58 @@ PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521, bases 2..41
 
 
 def test_strong_pseudoprime_to_bases_up_to_37_rejected():
+    # far above the bound, so refused before any primality test
     assert 399165290221 * 798330580441 == PSI_12
-    with pytest.raises(ValueError):
-        bb.PrimeField(PSI_12)
-    # PSI_13 passes all 13 Miller-Rabin bases; the strong Lucas step rejects it
     assert 1287836182261 * 2575672364521 == PSI_13
-    assert not is_probable_prime(PSI_13)
-    with pytest.raises(ValueError):
-        bb.PrimeField(PSI_13)
+    for n in (PSI_12, PSI_13, NEXT_PRIME, 2**62 - 57, 2**127 - 1):
+        with pytest.raises(ValueError, match=f"^{BOUND}{n}$"):
+            bb.PrimeField(n)
 
 
-# Strong Lucas pseudoprimes (OEIS A217255): composites that pass the Lucas
-# step alone, so Miller-Rabin must reject them
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, LARGEST_PRIME])
+def test_large_primes_accepted(p):
+    assert is_prime(p) and bb.PrimeField(p).p == p
+
+
+def _strong_probable_prime(n, a):
+    """Whether odd n > 2 passes the Miller-Rabin round to base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+# Strong Lucas pseudoprimes (OEIS A217255): composites that a strong Lucas
+# test alone accepts
 STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
 
 
-def test_each_half_of_baillie_psw_rejects_the_other_halfs_pseudoprimes():
-    for n in STRONG_LUCAS_PSEUDOPRIMES:
-        assert bb.field._strong_lucas(n) and not is_probable_prime(n)
-    assert not bb.field._strong_lucas(PSI_13)
+def test_is_prime_matches_trial_division_below_10_5():
+    for n in range(10**5):
+        assert is_prime(n) == (n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))), n
+    assert not any(map(is_prime, STRONG_LUCAS_PSEUDOPRIMES))
 
 
-@pytest.mark.parametrize("p", [DEFAULT_PRIME, 3037000493, 2**62 - 57, 2**127 - 1])
-def test_large_primes_accepted(p):
-    assert is_probable_prime(p) and bb.PrimeField(p).p == p
-
-
-def test_primality_matches_trial_division_below_5000():
-    for n in range(5000):
-        assert is_probable_prime(n) == (n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))), n
+def test_is_prime_is_exact_up_to_the_bound():
+    # 25326001 = 2251 * 11251 passes bases 2, 3 and 5; base 7 catches it
+    assert 2251 * 11251 == 25326001
+    assert all(_strong_probable_prime(25326001, a) for a in (2, 3, 5))
+    assert not _strong_probable_prime(25326001, 7) and not is_prime(25326001)
+    # the least strong pseudoprime to bases 2, 3, 5 and 7 lies above the bound
+    assert 3215031751 == 151 * 751 * 28351 > FAST_PATH_MAX
+    assert all(_strong_probable_prime(3215031751, a) for a in (2, 3, 5, 7))
+    with pytest.raises(ValueError, match="exact only up to 3037000499"):
+        is_prime(3215031751)
+    # no prime lies between LARGEST_PRIME and the bound; NEXT_PRIME is prime
+    assert not any(is_prime(n) for n in range(LARGEST_PRIME + 1, FAST_PATH_MAX + 1))
+    assert NEXT_PRIME > FAST_PATH_MAX
+    assert all(NEXT_PRIME % q for q in range(2, math.isqrt(NEXT_PRIME) + 1))
 
 
 def test_transcript_with_a_pseudoprime_modulus_names_p():
     doc = json.loads(bb.write_transcript(honest_run(1, "burau", 4, seed=1)))
-    for psi in (PSI_12, PSI_13):
-        doc["p"] = str(psi)
-        with pytest.raises(bb.TranscriptFormatError, match="^transcript field p: "):
+    for p in (PSI_12, PSI_13, NEXT_PRIME):
+        doc["p"] = str(p)
+        with pytest.raises(bb.TranscriptFormatError, match=f"^transcript field p: {BOUND}{p}$"):
             bb.read_transcript(json.dumps(doc))
 
 
@@ -110,7 +130,7 @@ def test_inverse_of_zero_raises():
             f.inverse_int(zero)
 
 
-@pytest.mark.parametrize("p", [3, 101, DEFAULT_PRIME, 2**62 - 57])
+@pytest.mark.parametrize("p", [3, 101, DEFAULT_PRIME, LARGEST_PRIME])
 def test_identity_array_matches_a_loop(p):
     f = bb.PrimeField(p)
     ref = f.zeros((4, 4))
@@ -118,8 +138,6 @@ def test_identity_array_matches_a_loop(p):
         ref[i, i] = 1
     got = f.identity_array(4)
     assert got.dtype == ref.dtype and (got == ref).all()
-    if f.dtype is object:  # python ints, like every other residue array there
-        assert {type(x) for x in got.flat} == {int}
 
 
 def test_modulus_mismatch_raises():

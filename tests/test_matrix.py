@@ -245,23 +245,7 @@ def test_gemm_kernel_batched_exact():
         assert (got[i].astype(object) == ref).all()
 
 
-def test_object_dtype_field_matches_fast_path():
-    slow = bb.PrimeField((1 << 62) - 57)
-    assert slow.dtype is object
-    rng = random.Random(15)
-    a = [[rng.randrange(slow.p) for _ in range(4)] for _ in range(4)]
-    b = [[rng.randrange(slow.p) for _ in range(4)] for _ in range(4)]
-    ma = bb.SquareMatrix(slow, slow.asarray(a))
-    mb = bb.SquareMatrix(slow, slow.asarray(b))
-    prod = ma @ mb
-    for i in range(4):
-        for j in range(4):
-            want = sum(a[i][k] * b[k][j] for k in range(4)) % slow.p
-            assert int(prod.a[i, j]) == want
-    assert ma @ ma.inverse() == bb.SquareMatrix.identity(slow, 4)
-
-
-# -- exactness limit of the fast-path product ---------------------------------
+# -- exactness limit of the product ------------------------------------------
 
 LARGEST_FAST_PRIME = 3037000493  # the largest prime <= FAST_PATH_MAX
 
@@ -275,7 +259,7 @@ def limb_worst_cases(p):
 @pytest.mark.parametrize("p", [bb.DEFAULT_PRIME, LARGEST_FAST_PRIME])
 def test_gemm_depth_limit_and_chunked_path(p):
     f = bb.PrimeField(p)
-    assert f.dtype is np.int64 and bb.field.is_probable_prime(p)
+    assert bb.field.is_prime(p)
     limit = gemm_depth_limit(p)
     # r (p-1)(2^11-1) < 2^53 keeps the limb products exact
     assert limit == {bb.DEFAULT_PRIME: 2049, LARGEST_FAST_PRIME: 1448}[p]
@@ -357,11 +341,11 @@ def planted_blocks(p, amb, rng, sizes=(7, 40, 70, 25)):
     return blocks
 
 
-@pytest.mark.parametrize("p", [bb.DEFAULT_PRIME, (1 << 62) - 57])
+@pytest.mark.parametrize("p", [bb.DEFAULT_PRIME, LARGEST_FAST_PRIME])
 def test_extend_batch_blocks_match_oracles(p):
     f = bb.PrimeField(p)
     rng = random.Random(21)
-    amb = 48 if f.dtype is np.int64 else 24
+    amb = 48
     blocks = planted_blocks(p, amb, rng)
     batch, seq = EchelonState(f, amb), EchelonState(f, amb)
     fed, masks = [], []
@@ -386,11 +370,11 @@ def test_extend_batch_blocks_match_oracles(p):
     assert plain_rref_rank([list(r) for r in rows] + fed, p) == batch.rank
 
 
-@pytest.mark.parametrize("p", [bb.DEFAULT_PRIME, (1 << 62) - 57])
+@pytest.mark.parametrize("p", [bb.DEFAULT_PRIME, LARGEST_FAST_PRIME])
 def test_solve_rebuilds_target_after_batches(p):
     f = bb.PrimeField(p)
     rng = random.Random(22)
-    amb = 40 if f.dtype is np.int64 else 20
+    amb = 40
     state = EchelonState(f, amb)
     kept = []
     for block in planted_blocks(p, amb, rng, sizes=(5, 30, 45)):
@@ -409,7 +393,7 @@ def test_solve_rebuilds_target_after_batches(p):
     assert state.rank == len(kept) < amb
 
 
-@pytest.mark.parametrize("p", [bb.DEFAULT_PRIME, (1 << 62) - 57])
+@pytest.mark.parametrize("p", [bb.DEFAULT_PRIME, LARGEST_FAST_PRIME])
 def test_solve_exact_against_bigint_oracle(p):
     f = bb.PrimeField(p)
     rng = random.Random(24)
@@ -428,7 +412,7 @@ def test_solve_exact_against_bigint_oracle(p):
     assert state.solve(f.asarray(off)) is None and not state.in_span(f.asarray(off))
 
 
-@pytest.mark.parametrize("p", [bb.DEFAULT_PRIME, (1 << 62) - 57])
+@pytest.mark.parametrize("p", [bb.DEFAULT_PRIME, LARGEST_FAST_PRIME])
 def test_inverse_on_both_fields(p):
     f = bb.PrimeField(p)
     rng = random.Random(26)

@@ -305,7 +305,7 @@ P = bb.DEFAULT_PRIME
     ([10**30, "1.5", 3, 4], "transcript field x[0][1] is not an integer: '1.5'"),
     ([1, 2, 3, None], "transcript field x[0][3] is not an integer: None"),
 ])
-@pytest.mark.parametrize("p", [P, 2**62 - 57])
+@pytest.mark.parametrize("p", [P, 3037000493])
 def test_read_transcript_matrix_entries(row, expected, p):
     # expected: the entries as integers, or the error message
     run = honest_run(1, "burau", 4, seed=5) if p == P else bb.run_protocol(
