@@ -25,6 +25,8 @@ print("\nstage 1: span of B * w * B")
 basis_w = bb.build_decorated_basis(transcript.w, sides)
 print(f"  the words of B span an algebra of dimension {basis_w.left.dim}, "
       f"closed once and shared by all three stages")
+print(f"  (this m = {t.dim} side is one block; from m = 16 up the side splits "
+      f"along the central idempotents of its full twist)")
 print(f"  basis dimension q = {basis_w.dim} "
       f"(saturated after {basis_w.candidates_checked} sampled rows, core included)")
 gamma = bb.express(basis_w, transcript.x)

@@ -3,8 +3,9 @@
 Three stages, each one basis build + express + substitute. The left and
 right multipliers come from the subgroups protocol.PROTOCOLS names for the
 transcript's protocol: B and B for protocol 1, B and A for protocol 2. The
-algebras those subgroups span are closed once, by the first build, and kept
-on the attack's SideSpec for the other two stages.
+sides are set up once (split into blocks from m = 16 up, and each block's
+algebra closed), by the first build, and kept on the attack's SideSpec for
+the other two stages.
 
     stage 1: basis over core w, express x, swap the core for u   -> M1
     stage 2: basis over core h, express y, swap the core for M1  -> M2

@@ -81,11 +81,21 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _side_document(side) -> dict:
+    """A side's roots of z, one per block (none for one block), and the
+    words of each block's algebra."""
+    return {
+        "roots": [str(x) for x in side.roots],
+        "words": [[list(w) for w in alg.words] for alg in side.algebras],
+    }
+
+
 def _bases_document(transcript: Transcript) -> dict:
-    """The words of both side algebras, listed once, and every stage's
-    entries as coefficients over them (rho left, sigma right) and value.
-    The bases are built again from the transcript, one at a time; a build
-    is a function of its inputs, so they are the attack's."""
+    """Both sides' blocks and their words, listed once, and every stage's
+    entries: the block (a, b), the coefficients over its words (rho left,
+    sigma right) and the value. The bases are built again from the
+    transcript, one at a time; a build is a function of its inputs, so they
+    are the attack's."""
     stages = []
     for stage_no, core_name, _, basis in stage_bases(transcript):
         stages.append({
@@ -94,6 +104,7 @@ def _bases_document(transcript: Transcript) -> dict:
             "basis_dim": basis.dim,
             "entries": [
                 {
+                    "block": list(e.block),
                     "rho": [str(x) for x in e.rho.tolist()],
                     "sigma": [str(x) for x in e.sigma.tolist()],
                     "value": e.value.to_rows(),
@@ -104,8 +115,8 @@ def _bases_document(transcript: Transcript) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "protocol_id": transcript.protocol_id,
-        "left_words": [list(w) for w in basis.left.words],
-        "right_words": [list(w) for w in basis.right.words],
+        "left": _side_document(basis.left),
+        "right": _side_document(basis.right),
         "stages": stages,
     }
 
@@ -185,14 +196,17 @@ def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     protocols = (1, 2) if args.protocol is None else (args.protocol,)
-    pairs = [
-        (seed, report)
-        for seed, _, report in run_bench(_params(args), n_list, protocols, args.trials)
-    ]
+    pairs, matched = [], True
+    for seed, run, report in run_bench(_params(args), n_list, protocols, args.trials):
+        if not verify_against_oracle(report, run):
+            matched = False
+            print(f"bench: MISMATCH protocol={report.protocol_id} n={report.n} seed={seed}",
+                  file=sys.stderr)
+        pairs.append((seed, report))
     print(format_table(pairs, include_timings=args.timings), end="")
     if args.out:
         _write(args.out, document_text(bench_document(pairs, args.timings)))
-    return 0
+    return 0 if matched else 1
 
 
 def cmd_selftest(args) -> int:

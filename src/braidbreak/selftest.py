@@ -64,20 +64,21 @@ def suite_span_fixpoint() -> None:
     sides = SideSpec.two_sided(pair.b_gens)
     basis = build_decorated_basis(core, sides)
 
-    def combine(coeffs, algebra, side):
-        # sum_i coeffs[i] * word_i, each word evaluated factor by factor
+    def combine(coeffs, blocks, a, side):
+        # e_a * sum_i coeffs[i] * word_i, each word evaluated factor by factor
         mats = dict(side)
         total = f.zeros((core.dim, core.dim))
-        for c, word in zip(coeffs, algebra.words):
+        for c, word in zip(coeffs, blocks.algebras[a].words):
             value = SquareMatrix.identity(f, core.dim)
             for label in word:
                 value = value @ mats[label]
             total = (total + int(c) * value.a) % f.p
-        return SquareMatrix(f, total)
+        return blocks.idempotent(f, a) @ SquareMatrix(f, total)
 
     for e in basis.entries:
-        p_mat = combine(e.rho, basis.left, sides.left)
-        q_mat = combine(e.sigma, basis.right, sides.right)
+        a, b = e.block
+        p_mat = combine(e.rho, basis.left, a, sides.left)
+        q_mat = combine(e.sigma, basis.right, b, sides.right)
         assert p_mat @ core @ q_mat == e.value
         for _, g in sides.left:
             assert basis.echelon.in_span((g @ e.value).a.reshape(-1))
@@ -89,10 +90,11 @@ def suite_span_fixpoint() -> None:
 
 
 def suite_attack_soundness() -> None:
-    for rep_kind in ("burau", "lk"):
-        for _, run, report in run_bench(ProtocolParams(rep_kind=rep_kind, seed=99), [4]):
+    # lk n=8 (m = 28) runs the attack on split sides
+    for rep_kind, n_list in (("burau", [4]), ("lk", [4, 8])):
+        for _, run, report in run_bench(ProtocolParams(rep_kind=rep_kind, seed=99), n_list):
             assert verify_against_oracle(report, run), (
-                f"recovery failed: protocol={report.protocol_id} rep={rep_kind} n=4"
+                f"recovery failed: protocol={report.protocol_id} rep={rep_kind} n={report.n}"
             )
 
 

@@ -1,28 +1,41 @@
 """Provenance-decorated bases of the sandwich span Sp(A_L * core * A_R).
 
 A_L and A_R are the unital algebras spanned by the words of the left and of
-the right side multipliers (each side closed under inverses). Each algebra
-is closed once, breadth first, and kept on its SideSpec, so that the stages
-of an attack share it. build_decorated_basis then samples the span: it
-draws random P in A_L and Q in A_R and keeps every P * core * Q independent
-of the rows before it, until the span saturates (Ben-Zvi, Kalka and Tsaban,
-"Cryptanalysis via algebraic spans", CRYPTO 2018). Every basis entry keeps
-P and Q as coefficient vectors over the algebras' words. That provenance is
-what makes the substitution step possible: a target expressed in the basis
-is re-evaluated with the core swapped for another matrix.
+the right side multipliers (each side closed under inverses).
+build_decorated_basis samples the span: it draws random P in A_L and Q in A_R
+and keeps every P * core * Q independent of the rows before it, until the
+span saturates (Ben-Zvi, Kalka and Tsaban, "Cryptanalysis via algebraic
+spans", CRYPTO 2018). Every basis entry keeps P and Q as coefficient vectors
+over the algebras' words. That provenance is what makes the substitution
+step possible: a target expressed in the basis is re-evaluated with the
+core swapped for another matrix.
+
+Each side is set up once and kept on its SideSpec, so that the stages of an
+attack share it. From m = _MIN_SPLIT_DIM up, the set-up splits the side along
+the central idempotents e_a of z, the product of the full twists of the
+side's runs of generators (central in the braid group of each run: Chow,
+Ann. Math. 1948): the Lagrange polynomials in z at the roots of its minimal
+polynomial, found by a Cantor-Zassenhaus step (Math. Comp. 1981). In a basis
+T of the blocks' images every element of the side's algebra is block
+diagonal, so the span is the direct sum of the spans of the block pairs
+(a, b), each an n_a x n_b problem closed, sampled, expressed and substituted
+on its own. Below _MIN_SPLIT_DIM, or when z's minimal polynomial is not a
+product of at least two distinct linear factors over F_p, a side is one
+block and T = I is never multiplied.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInSpanError
+from .errors import NotInSpanError, RelationValidationError
 from .field import PrimeField
 from .matrix import EchelonState, SquareMatrix, gemm_mod
 
@@ -31,20 +44,60 @@ SideEntry = tuple[int, SquareMatrix]  # (signed Artin label, multiplier)
 # Blocks of sampled rows start at one row and double up to this many.
 _MAX_BLOCK = 64
 
-# A stop before saturation has probability at most 2^-_FALSE_STOP_BITS.
+# A stop before saturation has probability at most 2^-_FALSE_STOP_BITS per block.
 _FALSE_STOP_BITS = 64
+
+# Sides of a smaller dimension stay one block: there the extra per-block
+# calls cost more than the elimination they save. Attack ms, one block ->
+# split, summed in-process medians over seeds 1-3, protocol 1 / 2, 2 vCPUs:
+# Burau m=12 59 -> 68 / 77 -> 102, m=16 131 -> 113 / 180 -> 169; lk m=15
+# 43 -> 76 / 80 -> 137, m=21 159 -> 161 / 306 -> 287, m=28 320 -> 234 / 673 -> 329.
+_MIN_SPLIT_DIM = 16
 
 
 @dataclass(frozen=True)
 class Algebra:
-    """Basis of the span of one side's words: words[i] evaluates to mats[i]."""
+    """Basis of the span of one block's words: words[i] evaluates to mats[i]."""
 
     words: tuple[tuple[int, ...], ...]  # labels, leftmost factor first
-    mats: np.ndarray  # (dim, m * m), the flattened word products
+    mats: np.ndarray  # (dim, n * n), the flattened word products on the block
 
     @property
     def dim(self) -> int:
         return len(self.words)
+
+
+@dataclass(frozen=True, eq=False)
+class Blocks:
+    """One side's algebra split along the central idempotents e_a of z.
+
+    Block a is spanned by columns offsets[a]:offsets[a+1] of t, a basis of
+    the image of e_a, on which z is roots[a]. In t coordinates every element
+    of the algebra is block diagonal, with its block a in algebras[a]. One
+    block has no roots and t = t_inv = None: T = I.
+    """
+
+    roots: tuple[int, ...]
+    offsets: tuple[int, ...]
+    algebras: tuple[Algebra, ...]
+    t: np.ndarray | None = None
+    t_inv: np.ndarray | None = None
+
+    @property
+    def dim(self) -> int:
+        """dim of the side's algebra, the sum over its blocks."""
+        return sum(alg.dim for alg in self.algebras)
+
+    def coords(self, a: int) -> slice:
+        """Block a's coordinates, the columns of t that span it."""
+        return slice(self.offsets[a], self.offsets[a + 1])
+
+    def idempotent(self, field: PrimeField, a: int) -> SquareMatrix:
+        """e_a in the original coordinates (I for one block)."""
+        if self.t is None:
+            return SquareMatrix.identity(field, self.offsets[-1])
+        rows = self.coords(a)
+        return SquareMatrix(field, gemm_mod(field, self.t[:, rows], self.t_inv[rows]))
 
 
 @dataclass(frozen=True)
@@ -53,8 +106,8 @@ class SideSpec:
 
     left: tuple[SideEntry, ...]
     right: tuple[SideEntry, ...]
-    # (p, m) -> (A_L, A_R), filled on first use
-    _algebras: dict = dataclasses.field(
+    # (p, m) -> (left Blocks, right Blocks), filled on first use
+    _blocks: dict = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -80,47 +133,237 @@ class SideSpec:
     def u_size(self) -> int:
         return len(self.left) + len(self.right)
 
-    def algebras(self, field: PrimeField, m: int) -> tuple[Algebra, Algebra]:
-        """(A_L, A_R) over m x m matrices, closed on the first call and kept;
-        equal sides are closed once."""
+    def blocks(self, field: PrimeField, m: int) -> tuple[Blocks, Blocks]:
+        """Both sides over m x m matrices, set up on the first call and kept;
+        equal sides are set up once."""
         key = (field.p, m)
-        if key not in self._algebras:
-            left = _close(field, m, self.left)
-            right = left if self.right == self.left else _close(field, m, self.right)
-            self._algebras[key] = (left, right)
-        return self._algebras[key]
+        if key not in self._blocks:
+            left = _split(field, m, self.left, "left")
+            right = left if self.right == self.left else _split(field, m, self.right, "right")
+            self._blocks[key] = (left, right)
+        return self._blocks[key]
 
 
-def _close(field: PrimeField, m: int, side: tuple[SideEntry, ...]) -> Algebra:
-    """The identity closed under left multiplication by the multipliers of
-    side, breadth first, dependent words dropped: a basis of the unital
-    algebra the side's words span. The inverses (negative labels) are left
-    out: an invertible matrix's inverse is a polynomial in it, so they add
-    nothing. One batched product per multiplier, on the frontier: the
-    state's last accepted rows."""
-    side = tuple(e for e in side if e[0] > 0)
+def _split(field: PrimeField, m: int, side: tuple[SideEntry, ...], name: str) -> Blocks:
+    """The side's blocks, each algebra closed on its own block. The inverses
+    (negative labels) are left out: an invertible matrix's inverse is a
+    polynomial in it, so they add nothing."""
+    gens = [(label, mat.a) for label, mat in side if label > 0]
+    roots = None
+    if m >= _MIN_SPLIT_DIM:
+        poly, powers = _min_poly(field, _full_twist(field, m, gens))
+        roots = _roots(poly, field.p)
+    if roots is None or len(roots) < 2:
+        return Blocks((), (0, m), (_close(field, m, gens),))
+    idem = _idempotents(field, roots, powers).reshape(-1, m, m)
+    _check_idempotents(field, idem, gens, name)
+    cols = [e[:, EchelonState(field, m).extend_batch(e.T)] for e in idem]
+    t = np.concatenate(cols, axis=1)
+    t_inv = SquareMatrix(field, t).inverse().a
+    offsets = (0, *itertools.accumulate(c.shape[1] for c in cols))
+    mats = gemm_mod(field, t_inv, gemm_mod(field, np.stack([g for _, g in gens]), t))
+    algebras = tuple(
+        _close(field, hi - lo, [(label, g[lo:hi, lo:hi]) for (label, _), g in zip(gens, mats)])
+        for lo, hi in itertools.pairwise(offsets)
+    )
+    return Blocks(tuple(roots), offsets, algebras, t, t_inv)
+
+
+def _full_twist(field: PrimeField, m: int, gens) -> np.ndarray:
+    """z = prod over the maximal runs s..e of consecutive labels of
+    (s_s ... s_e)^(e-s+2), the full twist of each run's braid group. It is
+    central in that group, and runs commute, so z is central in the side's
+    algebra when the multipliers are braid images."""
+    mats = dict(gens)
+    z = field.identity_array(m)
+    labels = sorted(mats)
+    for _, run in itertools.groupby(enumerate(labels), lambda x: x[1] - x[0]):
+        run = [label for _, label in run]
+        step = functools.reduce(lambda x, y: gemm_mod(field, x, y), (mats[i] for i in run))
+        for _ in range(len(run) + 1):
+            z = gemm_mod(field, z, step)
+    return z
+
+
+def _min_poly(field: PrimeField, z: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """z's minimal polynomial, monic, coefficients from degree 0 up, and the
+    flattened powers I, z, ..., z^(d-1) below its degree d: the first power
+    of z in the span of the powers before it (Krylov)."""
+    m = z.shape[0]
     state = EchelonState(field, m * m)
     state.extend_batch(field.identity_array(m).reshape(1, -1))
+    power = z
+    while (c := state.solve(power.reshape(-1))) is None:
+        state.extend_batch(power.reshape(1, -1))
+        power = gemm_mod(field, power, z)
+    return [-int(x) % field.p for x in c] + [1], state.originals
+
+
+# Polynomials over F_p: lists of int coefficients from degree 0 up, with no
+# trailing zero; [] is 0.
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mul(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _trim(out)
+
+
+def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    rem, inv = list(a), pow(b[-1], -1, p)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for i in reversed(range(len(quot))):
+        c = quot[i] = rem[i + len(b) - 1] * inv % p
+        for j, y in enumerate(b):
+            rem[i + j] = (rem[i + j] - c * y) % p
+    return _trim(quot), _trim(rem[: len(b) - 1])
+
+
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd of a and b, not both 0."""
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
+    out, base = [1], _divmod(base, f, p)[1]
+    for bit in bin(e)[2:]:
+        out = _divmod(_mul(out, out, p), f, p)[1]
+        if bit == "1":
+            out = _divmod(_mul(out, base, p), f, p)[1]
+    return out
+
+
+def _roots(f: list[int], p: int) -> list[int] | None:
+    """The roots of f in F_p, ascending, if f is a product of distinct
+    linear factors over F_p, else None. That holds iff f divides x^p - x.
+    Cantor-Zassenhaus then splits each factor g of degree above 1 along
+    gcd(g, (x + delta)^((p-1)/2) - 1) for delta = 0, 1, ...: the roots r of
+    g with r + delta a nonzero square."""
+    x = _divmod([0, 1], f, p)[1]
+    if _powmod([0, 1], p, f, p) != x:
+        return None
+    out, todo = [], [_gcd(f, [], p)]  # f, monic
+    while todo:
+        g = todo.pop()
+        if len(g) == 2:
+            out.append(-g[0] % p)
+            continue
+        # g has two distinct roots, so (x + delta)^((p-1)/2) mod g is not 0,
+        # and some delta < p separates them
+        for delta in range(p):
+            r = _powmod([delta, 1], (p - 1) // 2, g, p)
+            r[0] = (r[0] - 1) % p
+            h = _gcd(g, _trim(r), p)
+            if 1 < len(h) < len(g):
+                todo += [h, _divmod(g, h, p)[0]]
+                break
+    return sorted(out)
+
+
+def _idempotents(field: PrimeField, roots: list[int], powers: np.ndarray) -> np.ndarray:
+    """e_a = prod over b != a of (z - roots[b]) / (roots[a] - roots[b]), one
+    flattened row each, from the rows of powers: I, z, ..., z^(d-1)."""
+    p, coeffs = field.p, []
+    for a, lam in enumerate(roots):
+        poly, scale = [1], 1
+        for mu in roots[:a] + roots[a + 1 :]:
+            poly = _mul(poly, [-mu % p, 1], p)
+            scale = scale * (lam - mu) % p
+        inv = field.inverse_int(scale)
+        coeffs.append([c * inv % p for c in poly])
+    return gemm_mod(field, np.array(coeffs, dtype=np.int64), powers)
+
+
+def _check_idempotents(field: PrimeField, idem: np.ndarray, gens, name: str) -> None:
+    """Raise RelationValidationError naming the side and the first identity
+    that fails, in the order e_a^2 = e_a, sum e_a = I, e_a s = s e_a."""
+    d = len(idem)
+
+    def checks():
+        sq = gemm_mod(field, idem, idem)
+        for a in range(d):
+            yield f"e_{a}·e_{a} ≠ e_{a}", np.array_equal(sq[a], idem[a])
+        total = idem.sum(axis=0) % field.p
+        yield " + ".join(f"e_{a}" for a in range(d)) + " ≠ I", np.array_equal(
+            total, field.identity_array(idem.shape[1]))
+        for label, g in gens:
+            left, right = gemm_mod(field, idem, g), gemm_mod(field, g, idem)
+            for a in range(d):
+                yield f"e_{a}·s_{label} ≠ s_{label}·e_{a}", np.array_equal(left[a], right[a])
+
+    for what, ok in checks():
+        if not ok:
+            raise RelationValidationError(f"{name} side: {what}")
+
+
+def _close(field: PrimeField, n: int, gens) -> Algebra:
+    """The identity closed under left multiplication by the n x n arrays of
+    the (label, array) pairs gens, breadth first, dependent words dropped: a
+    basis of the unital algebra they generate. One batched product per
+    generator, on the frontier: the state's last accepted rows."""
+    state = EchelonState(field, n * n)
+    state.extend_batch(field.identity_array(n).reshape(1, -1))
     words, frontier = [()], [()]
-    while frontier and side:
+    while frontier and gens:
         f = len(frontier)
-        last = state.originals[-f:].reshape(f, m, m)
-        block = np.concatenate([gemm_mod(field, mat.a, last) for _, mat in side])
+        last = state.originals[-f:].reshape(f, n, n)
+        block = np.concatenate([gemm_mod(field, mat, last) for _, mat in gens])
         kept = np.flatnonzero(state.extend_batch(block.reshape(len(block), -1)))
-        # row k of block is side[k // f] times frontier[k % f]
-        frontier = [(side[k // f][0],) + frontier[k % f] for k in kept]
+        # row k of block is gens[k // f] times frontier[k % f]
+        frontier = [(gens[k // f][0],) + frontier[k % f] for k in kept]
         words += frontier
     return Algebra(tuple(words), state.originals)
 
 
+def _change(field: PrimeField, x: np.ndarray, lhs, rhs) -> np.ndarray:
+    """lhs @ x @ rhs, a None factor standing for I and not multiplied."""
+    if lhs is not None:
+        x = gemm_mod(field, lhs, x)
+    return x if rhs is None else gemm_mod(field, x, rhs)
+
+
 @dataclass(frozen=True, eq=False)
 class BasisEntry:
-    """One basis vector value = P * core * Q, with P = rho . A_L and
-    Q = sigma . A_R kept as coefficient vectors over the algebras' words."""
+    """One basis vector value = e_a * P * core * Q * f_b of block (a, b),
+    e_a and f_b the left and the right side's idempotents (I for one
+    block), with P = rho . W_a and Q = sigma . W_b kept as coefficient
+    vectors over the words of the blocks' algebras, all evaluated in the
+    original coordinates."""
 
+    block: tuple[int, int]
     rho: np.ndarray
     sigma: np.ndarray
     value: SquareMatrix
+
+
+@dataclass(frozen=True, eq=False)
+class Block:
+    """The span of block pair (a, b), Sp(A_a * core * A_b) in n_a x n_b
+    coordinates. Row i of rho, sigma and echelon.originals describes entry
+    i: (rho[i] . A_a) * core * (sigma[i] . A_b). A zero core has rank 0."""
+
+    a: int
+    b: int
+    core: np.ndarray  # (n_a, n_b), of T_L^-1 * core * T_R
+    rho: np.ndarray  # (rank, dim A_a)
+    sigma: np.ndarray  # (rank, dim A_b)
+    echelon: EchelonState
+    drawn: int  # rows drawn, core included
+
+    @property
+    def rank(self) -> int:
+        return self.echelon.rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,21 +371,19 @@ class DecoratedBasis:
     """Saturated basis of Sp(A_L * core * A_R) with per-entry provenance:
     the record of one build_decorated_basis call, immutable and shareable.
 
-    Row i of rho, sigma and echelon.originals describes entry i, whose
-    value is (rho[i] . A_L) * core * (sigma[i] . A_R). entries is formed
-    from those rows on first read, each value a view of its row in
-    echelon.originals; express and substitute never read it.
+    The entries are those of the blocks, in order. entries is formed on
+    first read, with every value in the original coordinates; express and
+    substitute never read it. echelon answers in_span and solve on
+    flattened m x m matrices: the one block's echelon state, or the blocks'.
     """
 
     core: SquareMatrix
     sides: SideSpec = dataclasses.field(repr=False)
-    left: Algebra = dataclasses.field(repr=False)  # A_L
-    right: Algebra = dataclasses.field(repr=False)  # A_R
-    rho: np.ndarray = dataclasses.field(repr=False)  # (dim, dim A_L)
-    sigma: np.ndarray = dataclasses.field(repr=False)  # (dim, dim A_R)
-    echelon: EchelonState = dataclasses.field(repr=False)
+    left: Blocks = dataclasses.field(repr=False)
+    right: Blocks = dataclasses.field(repr=False)
+    blocks: tuple[Block, ...] = dataclasses.field(repr=False)  # (a, b) row-major
     build_mul_count: int
-    candidates_checked: int  # rows drawn, core included
+    candidates_checked: int  # rows drawn over all blocks, cores included
 
     @property
     def field(self) -> PrimeField:
@@ -150,7 +391,7 @@ class DecoratedBasis:
 
     @property
     def dim(self) -> int:
-        return self.echelon.rank
+        return sum(blk.rank for blk in self.blocks)
 
     def bound_value(self) -> int:
         """r^3 |U|^2 + r |W|^2 for this build (r = basis dimension, |W| = 1)."""
@@ -159,15 +400,47 @@ class DecoratedBasis:
 
     @functools.cached_property
     def entries(self) -> list[BasisEntry]:
-        m = self.core.dim
-        return [
-            BasisEntry(r, s, SquareMatrix(self.field, v.reshape(m, m)))
-            for r, s, v in zip(self.rho, self.sigma, self.echelon.originals)
-        ]
+        out = []
+        for blk in self.blocks:
+            rows, cols = self.left.coords(blk.a), self.right.coords(blk.b)
+            lhs = None if self.left.t is None else self.left.t[:, rows]
+            rhs = None if self.right.t is None else self.right.t_inv[cols]
+            values = blk.echelon.originals.reshape(blk.rank, *blk.core.shape)
+            values = _change(self.field, values, lhs, rhs)
+            out += [
+                BasisEntry((blk.a, blk.b), r, s, SquareMatrix(self.field, v))
+                for r, s, v in zip(blk.rho, blk.sigma, values)
+            ]
+        return out
+
+    @functools.cached_property
+    def echelon(self):
+        return self.blocks[0].echelon if len(self.blocks) == 1 else _BlockEchelon(self)
+
+
+@dataclass(frozen=True, eq=False)
+class _BlockEchelon:
+    """in_span and solve of flattened m x m matrices against a split basis."""
+
+    basis: DecoratedBasis
+
+    @property
+    def rank(self) -> int:
+        return self.basis.dim
+
+    def solve(self, v) -> np.ndarray | None:
+        m, f = self.basis.core.dim, self.basis.field
+        try:
+            return express(self.basis, SquareMatrix(f, np.asarray(v).reshape(m, m) % f.p))
+        except NotInSpanError:
+            return None
+
+    def in_span(self, v) -> bool:
+        return self.solve(v) is not None
 
 
 def _confirm_rows(p: int) -> int:
-    """Rows that must add nothing in a row before the span counts as
+    """Rows that must add nothing in a row before a block's span counts as
     saturated. While it is not, a sampled P * core * Q (degree 2 in the
     draws) lies in the current span with probability at most 2/p
     (Schwartz-Zippel), so a false stop has probability at most
@@ -186,16 +459,12 @@ def _draw(rng: random.Random, field: PrimeField, shape) -> np.ndarray:
 
 
 def build_decorated_basis(core: SquareMatrix, sides: SideSpec) -> DecoratedBasis:
-    """Sample the span of A_L * core * A_R until it saturates.
+    """Sample the span of A_L * core * A_R until it saturates, block pair by
+    block pair.
 
-    Row 0 is the core itself (P = Q = I). Then blocks of random P * core * Q,
-    three products a block, are fed to the echelon state, which keeps the
-    rows independent of those before them. Blocks grow from one row to
-    _MAX_BLOCK, and never past the rows that could still reach full rank; a
-    block that ends in rows it did not keep has probably saturated, so the
-    next is only as long as confirmation needs.
-    The build stops when the rank reaches dim A_L * dim A_R (or m^2), which
-    proves saturation, or when the last _confirm_rows(p) rows added nothing.
+    The core is taken into block coordinates, T_L^-1 * core * T_R, and each
+    block pair (a, b) of it is sampled on its own (_sample). The first call
+    on a SideSpec sets its sides up, and that work counts in this build.
     """
     field = core.field
     m = core.dim
@@ -203,24 +472,58 @@ def build_decorated_basis(core: SquareMatrix, sides: SideSpec) -> DecoratedBasis
         raise ValueError("core matrix must be nonzero")
 
     mul0 = field.ops.mul_count
-    left, right = sides.algebras(field, m)
-    full = min(left.dim * right.dim, m * m)
+    left, right = sides.blocks(field, m)
+    c = _change(field, core.a, left.t_inv, right.t)
+    blocks = tuple(
+        _sample(field, a, b, c[left.coords(a), right.coords(b)], la, ra)
+        for (a, la), (b, ra) in itertools.product(
+            enumerate(left.algebras), enumerate(right.algebras))
+    )
+    return DecoratedBasis(
+        core=core,
+        sides=sides,
+        left=left,
+        right=right,
+        blocks=blocks,
+        build_mul_count=field.ops.mul_count - mul0,
+        candidates_checked=sum(blk.drawn for blk in blocks),
+    )
+
+
+def _sample(field: PrimeField, a: int, b: int, core: np.ndarray,
+            left: Algebra, right: Algebra) -> Block:
+    """Sample Sp(left * core * right) for an n_a x n_b core.
+
+    Row 0 is the core itself (P = Q = I). Then blocks of random P * core * Q,
+    three products a block, are fed to the echelon state, which keeps the
+    rows independent of those before them. Blocks grow from one row to
+    _MAX_BLOCK, and never past the rows that could still reach full rank; a
+    block that ends in rows it did not keep has probably saturated, so the
+    next is only as long as confirmation needs.
+    Sampling stops when the rank reaches dim A_a * dim A_b (or n_a * n_b),
+    which proves saturation, or when the last _confirm_rows(p) rows added
+    nothing.
+    """
+    na, nb = core.shape
+    state = EchelonState(field, na * nb)
+    if not core.any():
+        return Block(a, b, core, field.zeros((0, left.dim)), field.zeros((0, right.dim)), state, 0)
+    full = min(left.dim * right.dim, na * nb)
     need = _confirm_rows(field.p)
     # seeded from p and the core's residues (random.Random hashes a str
     # seed with SHA-512), so every output is a function of the inputs
-    rng = random.Random(f"{field.p}:{core.a.reshape(-1).tolist()}")
-    state = EchelonState(field, m * m)
-    state.extend_batch(core.a.reshape(1, -1))
+    rng = random.Random(f"{field.p}:{core.reshape(-1).tolist()}")
+    state.extend_batch(core.reshape(1, -1))
     rho, sigma = [field.zeros((1, left.dim))], [field.zeros((1, right.dim))]
     rho[0][0, 0] = sigma[0][0, 0] = 1  # word 0 of each algebra is the identity
-    # core * B_j for every word B_j of A_R, so that core * Q = sigma . core_right
-    core_right = gemm_mod(field, core.a, right.mats.reshape(-1, m, m)).reshape(right.dim, -1)
+    # core * B_j for every word B_j of A_b, so that core * Q = sigma . core_right
+    core_right = gemm_mod(field, core, right.mats.reshape(-1, nb, nb)).reshape(right.dim, -1)
     drawn, run, size = 1, 0, 1
     while state.rank < full and run < need:
         r_blk = _draw(rng, field, (size, left.dim))
         s_blk = _draw(rng, field, (size, right.dim))
-        p_blk = gemm_mod(field, r_blk, left.mats).reshape(size, m, m)
-        cq_blk = gemm_mod(field, s_blk, core_right).reshape(size, m, m)
+        p_blk = gemm_mod(field, r_blk, left.mats).reshape(size, na, na)
+        cq_blk = gemm_mod(field, s_blk, core_right).reshape(size, na, nb)
         block = gemm_mod(field, p_blk, cq_blk).reshape(size, -1)
         kept = np.flatnonzero(state.extend_batch(block))
         rho.append(r_blk[kept])
@@ -228,32 +531,29 @@ def build_decorated_basis(core: SquareMatrix, sides: SideSpec) -> DecoratedBasis
         drawn += size
         run = size - 1 - int(kept[-1]) if len(kept) else run + size
         size = need - run if run else min(2 * size, _MAX_BLOCK, full - state.rank)
-
-    return DecoratedBasis(
-        core=core,
-        sides=sides,
-        left=left,
-        right=right,
-        rho=np.concatenate(rho),
-        sigma=np.concatenate(sigma),
-        echelon=state,
-        build_mul_count=field.ops.mul_count - mul0,
-        candidates_checked=drawn,
-    )
+    return Block(a, b, core, np.concatenate(rho), np.concatenate(sigma), state, drawn)
 
 
 def express(basis: DecoratedBasis, target: SquareMatrix) -> np.ndarray:
     """Coefficients writing target as a combination of the basis entries.
 
     Exact: sum_i coeffs[i] * entries[i].value == target. Raises
-    NotInSpanError when target lies outside the span, which for an attack
-    input means the transcript is inconsistent with the claimed protocol.
+    NotInSpanError when target lies outside the span, naming the block
+    whose span misses it when there are several; for an attack input that
+    means the transcript is inconsistent with the claimed protocol.
     """
-    basis.field.check_same(target.field)
-    coeffs = basis.echelon.solve(target.a.reshape(-1))
-    if coeffs is None:
-        raise NotInSpanError(f"target not in the {basis.dim}-dimensional span")
-    return coeffs
+    field = basis.field
+    field.check_same(target.field)
+    x = _change(field, target.a, basis.left.t_inv, basis.right.t)
+    coeffs = []
+    for blk in basis.blocks:
+        c = blk.echelon.solve(x[basis.left.coords(blk.a), basis.right.coords(blk.b)].reshape(-1))
+        if c is None:
+            where = "" if len(basis.blocks) == 1 else (
+                f"block ({blk.a}, {blk.b}), {blk.core.shape[0]}x{blk.core.shape[1]}: ")
+            raise NotInSpanError(f"{where}target not in the {blk.rank}-dimensional span")
+        coeffs.append(c)
+    return np.concatenate(coeffs)
 
 
 def substitute(
@@ -261,25 +561,41 @@ def substitute(
 ) -> SquareMatrix:
     """Evaluate sum_k coeffs[k] * P_k * replacement * Q_k.
 
-    Over the algebras' words A_i and B_j that sum is
-    sum_i A_i * replacement * (sum_j M_ij B_j) with M = rho^T diag(coeffs)
-    sigma, which costs products of dim A_L matrices rather than of dim
-    basis ones. With coeffs = express(basis, target) and replacement =
-    P * core * Q where P commutes with the left algebra and Q with the right
-    one, the result is exactly P * target * Q; replacement = core returns
-    target.
+    In block coordinates each block pair (a, b) substitutes its own
+    coefficients into its block of the replacement (_substitute_block), and
+    the sum is taken back: T_L * Y * T_R^-1. With coeffs = express(basis,
+    target) and replacement = P * core * Q where P commutes with the left
+    algebra and Q with the right one, P and Q are block diagonal and the
+    result is exactly P * target * Q; replacement = core returns target.
     """
     field = basis.field
     field.check_same(replacement.field)
     coeffs = field.asarray(coeffs)
     if coeffs.shape != (basis.dim,):
         raise ValueError(f"expected {basis.dim} coefficients, got {coeffs.shape}")
-    m, d = basis.core.dim, basis.left.dim
-    field.ops.mul_count += basis.sigma.size
-    scaled = np.remainder(coeffs[:, None] * basis.sigma, field.p)
-    weights = gemm_mod(field, basis.rho.T, scaled)  # M, dim A_L x dim A_R
-    right = gemm_mod(field, weights, basis.right.mats).reshape(d, m, m)
-    tail = gemm_mod(field, replacement.a, right)  # replacement * Q'_i
-    heads = basis.left.mats.reshape(d, m, m).transpose(1, 0, 2).reshape(m, d * m)
-    total = gemm_mod(field, heads, tail.reshape(d * m, m))
-    return SquareMatrix(field, total)
+    x = _change(field, replacement.a, basis.left.t_inv, basis.right.t)
+    y, lo = field.zeros(x.shape), 0
+    for blk in basis.blocks:
+        rows, cols = basis.left.coords(blk.a), basis.right.coords(blk.b)
+        if blk.rank:
+            y[rows, cols] = _substitute_block(
+                field, blk, coeffs[lo : lo + blk.rank], x[rows, cols],
+                basis.left.algebras[blk.a], basis.right.algebras[blk.b])
+        lo += blk.rank
+    return SquareMatrix(field, _change(field, y, basis.left.t, basis.right.t_inv))
+
+
+def _substitute_block(field: PrimeField, blk: Block, coeffs: np.ndarray, x: np.ndarray,
+                      left: Algebra, right: Algebra) -> np.ndarray:
+    """sum_k coeffs[k] * P_k * x * Q_k over the block's entries. Over the
+    algebras' words A_i and B_j that sum is sum_i A_i * x * (sum_j M_ij B_j)
+    with M = rho^T diag(coeffs) sigma, which costs products of dim A_a
+    matrices rather than of rank ones."""
+    (na, nb), d = x.shape, left.dim
+    field.ops.mul_count += blk.sigma.size
+    scaled = np.remainder(coeffs[:, None] * blk.sigma, field.p)
+    weights = gemm_mod(field, blk.rho.T, scaled)  # M, dim A_a x dim A_b
+    tails = gemm_mod(field, weights, right.mats).reshape(d, nb, nb)
+    tails = gemm_mod(field, x, tails)  # x * Q'_i
+    heads = left.mats.reshape(d, na, na).transpose(1, 0, 2).reshape(na, d * na)
+    return gemm_mod(field, heads, tails.reshape(d * na, nb))

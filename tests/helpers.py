@@ -106,12 +106,46 @@ def algebra_element(side, words, coeffs, f: bb.PrimeField, m: int) -> bb.SquareM
 
 def entry_product(basis: bb.DecoratedBasis, entry: bb.BasisEntry,
                   core: bb.SquareMatrix) -> bb.SquareMatrix:
-    """P * core * Q with P = entry.rho . A_L and Q = entry.sigma . A_R, the
-    algebras' words evaluated from the side multipliers."""
+    """e_a * P * core * Q * e_b for the entry's block (a, b), with P =
+    entry.rho . W_a and Q = entry.sigma . W_b, the blocks' words evaluated
+    from the side multipliers."""
     f, m, sides = basis.field, basis.core.dim, basis.sides
-    p_mat = algebra_element(sides.left, basis.left.words, entry.rho, f, m)
-    q_mat = algebra_element(sides.right, basis.right.words, entry.sigma, f, m)
-    return p_mat @ core @ q_mat
+    a, b = entry.block
+    p_mat = algebra_element(sides.left, basis.left.algebras[a].words, entry.rho, f, m)
+    q_mat = algebra_element(sides.right, basis.right.algebras[b].words, entry.sigma, f, m)
+    return (basis.left.idempotent(f, a) @ p_mat @ core @ q_mat
+            @ basis.right.idempotent(f, b))
+
+
+def full_twist(side, f: bb.PrimeField, m: int) -> bb.SquareMatrix:
+    """prod over the runs s..e of the side's positive labels of
+    (s_s ... s_e)^(e-s+2), one factor at a time."""
+    mats = {label: g for label, g in side if label > 0}
+    z = bb.SquareMatrix.identity(f, m)
+    labels = sorted(mats)
+    while labels:
+        run = [labels.pop(0)]
+        while labels and labels[0] == run[-1] + 1:
+            run.append(labels.pop(0))
+        step = word_product(side, run, f, m)
+        for _ in range(len(run) + 1):
+            z = z @ step
+    return z
+
+
+def lagrange_idempotents(z: bb.SquareMatrix, roots) -> list[bb.SquareMatrix]:
+    """prod over b != a of (z - roots[b]) / (roots[a] - roots[b]), per a."""
+    f, m = z.field, z.dim
+    out = []
+    for a, lam in enumerate(roots):
+        e = bb.SquareMatrix.identity(f, m)
+        for b, mu in enumerate(roots):
+            if b != a:
+                shifted = (z.a - mu * np.eye(m, dtype=np.int64)) % f.p
+                scale = pow(lam - mu, -1, f.p)
+                e = e @ bb.SquareMatrix(f, shifted * scale % f.p)
+        out.append(e)
+    return out
 
 
 def assert_span_complexity(basis: bb.DecoratedBasis) -> None:

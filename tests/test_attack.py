@@ -416,10 +416,28 @@ PINNED_COUNTS = [
 ]
 
 
-@pytest.mark.parametrize("protocol_id,rep_kind,dims,ops", PINNED_COUNTS)
-def test_counted_ops_pinned(protocol_id, rep_kind, dims, ops):
-    run = honest_run(protocol_id, rep_kind, 5, seed=31)
+# (protocol, stage dims, (mul, add, inv)) at lk n=8 (m = 28), seed 31: the
+# attack on split sides. One block, the counts were (46176886, 45066194,
+# 408) for protocol 1 and (142227938, 139695831, 832) for protocol 2.
+PINNED_SPLIT_COUNTS = [
+    (1, (46, 46, 46), (4603563, 4396883, 470)),
+    (2, (172, 172, 172), (9933036, 9459753, 956)),
+]
+
+
+def _check_counts(protocol_id, rep_kind, n, dims, ops):
+    run = honest_run(protocol_id, rep_kind, n, seed=31)
     report = bb.attack_transcript(run.transcript)
     assert bb.verify_against_oracle(report, run)
     assert report.stage_dims == dims
     assert report.op_counts == ops
+
+
+@pytest.mark.parametrize("protocol_id,rep_kind,dims,ops", PINNED_COUNTS)
+def test_counted_ops_pinned(protocol_id, rep_kind, dims, ops):
+    _check_counts(protocol_id, rep_kind, 5, dims, ops)
+
+
+@pytest.mark.parametrize("protocol_id,dims,ops", PINNED_SPLIT_COUNTS)
+def test_split_counted_ops_pinned(protocol_id, dims, ops):
+    _check_counts(protocol_id, "lk", 8, dims, ops)

@@ -8,10 +8,11 @@ import pytest
 
 import braidbreak as bb
 import braidbreak.bench
+import braidbreak.cli
 from braidbreak.cli import main
 from braidbreak.selftest import run_selftest
 
-from helpers import ZERO_MESSAGES, algebra_element
+from helpers import ZERO_MESSAGES, algebra_element, full_twist, lagrange_idempotents
 
 
 def run_cli(argv):
@@ -66,30 +67,45 @@ def test_attack_report_deterministic(tmp_path):
 
 
 def test_attack_dump_bases(tmp_path):
-    t, r = tmp_path / "t.json", tmp_path / "r.json"
-    run_cli(["simulate", "--n", "4", "--seed", "5", "--out", str(t)])
-    assert run_cli(["attack", str(t), "--out", str(r), "--dump-bases"]) == 0
-    dump = json.loads((tmp_path / "r.bases.json").read_text())
-    assert [s["core"] for s in dump["stages"]] == ["w", "h", "z"]
-    # each algebra's words are listed once, the identity first
-    left = [tuple(w) for w in dump["left_words"]]
-    right = [tuple(w) for w in dump["right_words"]]
-    assert left[0] == right[0] == () and len(set(left)) == len(left)
-    # every entry value is (rho . A_L) * core * (sigma . A_R), evaluated
-    # from the transcript's protocol-1 sides (B on both)
-    transcript, _ = bb.read_transcript(t.read_text())
-    f, m = transcript.field, transcript.dim
-    sides = bb.SideSpec.two_sided(transcript.b_gens)
-    report = json.loads(r.read_text())
-    for stage, reported in zip(dump["stages"], report["stages"], strict=True):
-        assert stage["basis_dim"] == reported["basis_dim"]
-        core = getattr(transcript, stage["core"])
-        assert len(stage["entries"]) == stage["basis_dim"]
-        for entry in stage["entries"][:3]:
-            assert set(entry) == {"rho", "sigma", "value"}
-            p_mat = algebra_element(sides.left, left, entry["rho"], f, m)
-            q_mat = algebra_element(sides.right, right, entry["sigma"], f, m)
-            assert (p_mat @ core @ q_mat).to_rows() == entry["value"]
+    # lk n=4 (m = 6) is one block; lk n=7 (m = 21) splits each side in three
+    for n, blocks in ((4, 1), (7, 3)):
+        t, r = tmp_path / f"t{n}.json", tmp_path / f"r{n}.json"
+        run_cli(["simulate", "--n", str(n), "--seed", "5", "--out", str(t)])
+        assert run_cli(["attack", str(t), "--out", str(r), "--dump-bases"]) == 0
+        dump = json.loads((tmp_path / f"r{n}.bases.json").read_text())
+        assert [s["core"] for s in dump["stages"]] == ["w", "h", "z"]
+        # protocol 1 has B on both sides; each block's words are listed
+        # once, the identity first
+        assert dump["left"] == dump["right"]
+        roots = [int(x) for x in dump["left"]["roots"]]
+        words = [[tuple(w) for w in ws] for ws in dump["left"]["words"]]
+        assert len(words) == blocks and len(roots) == (blocks if blocks > 1 else 0)
+        for ws in words:
+            assert ws[0] == () and len(set(ws)) == len(ws)
+        # every entry value is e_a * (rho . W_a) * core * (sigma . W_b) * e_b,
+        # with e_a the Lagrange idempotents of z at the listed roots, all
+        # evaluated from the transcript's generators
+        transcript, _ = bb.read_transcript(t.read_text())
+        f, m = transcript.field, transcript.dim
+        side = bb.SideSpec.two_sided(transcript.b_gens).left
+        idem = (lagrange_idempotents(full_twist(side, f, m), roots) if roots
+                else [bb.SquareMatrix.identity(f, m)])
+        report = json.loads(r.read_text())
+        for stage, reported in zip(dump["stages"], report["stages"], strict=True):
+            assert stage["basis_dim"] == reported["basis_dim"]
+            core = getattr(transcript, stage["core"])
+            entries = stage["entries"]
+            assert len(entries) == stage["basis_dim"]
+            # the first entry of each block pair that has one
+            firsts = {tuple(e["block"]): e for e in reversed(entries)}
+            assert len(firsts) > (blocks > 1)
+            for entry in entries[:3] + list(firsts.values()):
+                assert set(entry) == {"block", "rho", "sigma", "value"}
+                a, b = entry["block"]
+                p_mat = algebra_element(side, words[a], entry["rho"], f, m)
+                q_mat = algebra_element(side, words[b], entry["sigma"], f, m)
+                value = idem[a] @ p_mat @ core @ q_mat @ idem[b]
+                assert value.to_rows() == entry["value"]
 
 
 def test_attack_fixture_of_other_dimension_mismatch(tmp_path, capsys):
@@ -179,6 +195,22 @@ def test_bench_deterministic_counts(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     doc = json.loads(a.read_text())
     assert "slopes" in doc and "1" in doc["slopes"]
+
+
+def test_bench_checks_every_key(monkeypatch, tmp_path, capsys):
+    # with the key check failing, bench still writes its table and document
+    # but names each run on stderr and exits 1
+    args = ["bench", "--n-list", "4", "--seed", "3", "--out", str(tmp_path / "b.json")]
+    assert run_cli(args) == 0
+    good = capsys.readouterr()
+    assert good.err == ""
+    monkeypatch.setattr(braidbreak.cli, "verify_against_oracle", lambda report, run: False)
+    assert run_cli(args) == 1
+    bad = capsys.readouterr()
+    seed = bb.derive_trial_seed(3, 0)
+    assert bad.err == "".join(
+        f"bench: MISMATCH protocol={p} n=4 seed={seed}\n" for p in (1, 2))
+    assert bad.out == good.out
 
 
 def test_bench_bad_n_list(capsys):

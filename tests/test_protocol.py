@@ -217,13 +217,13 @@ def test_transcript_bytes_pinned(config):
 # for the transcript of (protocol, rep, n=5, seed=1): (report, bases).
 REPORT_DIGESTS = {
     (1, "lk"): ("f715bea498580774d9bc829071b57a3775b3ef87d2c31bd738b9a2e840ad4acc",
-                "11c965c91ce273799f94f4298d0875b624eb0adf5c8794387cd6f1e5fe9a36d1"),
+                "1e1ece47a1251237e2d668db74afb37f1e581588a8a05d15a325aec18b48c977"),
     (1, "burau"): ("6f00242fa981448a700e61359bcb4c084b80a847b7c13a00f9e2e2725cc435c2",
-                   "24589305d8af4c4b1f1ab1ee9daa4e5fe1d990b7d598d93cad9738e1ffc0af24"),
+                   "399a1a0b8cf5265a43e6013bae27448474d043b522333658722b89eba846d5fe"),
     (2, "lk"): ("e9e93e654fdbfc3ef4783f98b87a26b4b2df625dff15899afccf43b1647bc8c7",
-                "3360f705df4ac2bfca0a5390f4f82a44eb403ce5cf26537d6a3a5ccc5a075b55"),
+                "a562877203aee8a49bb8c3dd6e7bf7edb97f2ee17ff0f01b007fc9d00e57e39c"),
     (2, "burau"): ("7717d52a3120df5560a677a91a09e700306605c3873e0065c5b7c69b2d6b2709",
-                   "cfa261aeec5a16fadf85cfdb6dfd168240c10dd67a1abea2640485fca6103cf1"),
+                   "2655e9e83530751bb2dcd9465a723301a321cc395403415fa2a290fe9f67bbc6"),
 }
 
 

@@ -31,7 +31,7 @@ def test_empty_sides_single_entry():
     basis = bb.build_decorated_basis(core, sides)
     # dim A_L * dim A_R == 1 proves saturation: the core is the only row drawn
     assert basis.dim == 1 and basis.candidates_checked == 1
-    assert basis.left.words == basis.right.words == ((),)
+    assert basis.left.algebras[0].words == basis.right.algebras[0].words == ((),)
     e = basis.entries[0]
     assert e.value == core == entry_product(basis, e, core)
     assert list(e.rho) == list(e.sigma) == [1]
@@ -122,7 +122,7 @@ def test_provenance_integrity_and_words():
     # each algebra: the identity first, no word twice, the words' products
     # are its rows, independent, and closed under every side multiplier
     f, m = r.field, r.dim
-    for side, alg in ((sides.left, basis.left), (sides.right, basis.right)):
+    for side, (alg,) in ((sides.left, basis.left.algebras), (sides.right, basis.right.algebras)):
         assert alg.words[0] == () and len(set(alg.words)) == alg.dim
         flat = [word_product(side, w, f, m).a.reshape(-1).tolist() for w in alg.words]
         assert flat == alg.mats.tolist()
@@ -270,8 +270,9 @@ def test_sampled_span_matches_sandwich_rank(p):
         sides = bb.SideSpec.mixed(pair.b_gens, pair.a_gens)
         core = random_word_matrix(r, rng)
         basis = bb.build_decorated_basis(core, sides)
-        lefts = [word_product(sides.left, w, f, r.dim) for w in basis.left.words]
-        rights = [word_product(sides.right, w, f, r.dim) for w in basis.right.words]
+        (left,), (right,) = basis.left.algebras, basis.right.algebras
+        lefts = [word_product(sides.left, w, f, r.dim) for w in left.words]
+        rights = [word_product(sides.right, w, f, r.dim) for w in right.words]
         products = [a @ core @ b for a in lefts for b in rights]
         rank = plain_rref_rank([x.a.reshape(-1).tolist() for x in products], p)
         assert basis.dim == rank, f"{kind} n={n}: sampled {basis.dim} != {rank}"
@@ -287,9 +288,11 @@ def test_sampled_basis_is_deterministic():
     core = random_word_matrix(r, rng)
     one, two = (bb.build_decorated_basis(core, bb.SideSpec.mixed(pair.b_gens, pair.a_gens))
                 for _ in range(2))
-    assert one.left.words == two.left.words and one.right.words == two.right.words
-    assert one.rho.tobytes() == two.rho.tobytes()
-    assert one.sigma.tobytes() == two.sigma.tobytes()
+    (blk_one,), (blk_two,) = one.blocks, two.blocks
+    assert one.left.algebras[0].words == two.left.algebras[0].words
+    assert one.right.algebras[0].words == two.right.algebras[0].words
+    assert blk_one.rho.tobytes() == blk_two.rho.tobytes()
+    assert blk_one.sigma.tobytes() == blk_two.sigma.tobytes()
     assert [e.value.a.tobytes() for e in one.entries] == \
         [e.value.a.tobytes() for e in two.entries]
 
@@ -307,7 +310,9 @@ def test_basis_keeps_each_accepted_row_once():
             originals = basis.echelon.originals
             assert basis.dim == len(basis.entries) == basis.echelon.rank == len(originals)
             with pytest.raises(dataclasses.FrozenInstanceError):
-                basis.rho = basis.rho[:1]
+                basis.blocks = basis.blocks[:0]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                basis.blocks[0].rho = basis.blocks[0].rho[:1]
             for i, e in enumerate(basis.entries):
                 assert np.shares_memory(e.value.a, originals)
                 assert np.array_equal(e.value.a.reshape(-1), originals[i])
