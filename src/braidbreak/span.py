@@ -19,9 +19,10 @@ polynomial, found by a Cantor-Zassenhaus step (Math. Comp. 1981). In a basis
 T of the blocks' images every element of the side's algebra is block
 diagonal, so the span is the direct sum of the spans of the block pairs
 (a, b), each an n_a x n_b problem closed, sampled, expressed and substituted
-on its own. Below _MIN_SPLIT_DIM, or when z's minimal polynomial is not a
-product of at least two distinct linear factors over F_p, a side is one
-block and T = I is never multiplied.
+on its own. The set-up checks exactly that: T is square and invertible, and
+T^-1 * s * T is block diagonal for every generator s. Below _MIN_SPLIT_DIM,
+or when z's minimal polynomial is not a product of at least two distinct
+linear factors over F_p, a side is one block and T = I is never multiplied.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInSpanError, RelationValidationError
+from .errors import NotInSpanError, RelationValidationError, SingularMatrixError
 from .field import PrimeField
 from .matrix import EchelonState, SquareMatrix, gemm_mod
 
@@ -147,7 +148,9 @@ class SideSpec:
 def _split(field: PrimeField, m: int, side: tuple[SideEntry, ...], name: str) -> Blocks:
     """The side's blocks, each algebra closed on its own block. The inverses
     (negative labels) are left out: an invertible matrix's inverse is a
-    polynomial in it, so they add nothing."""
+    polynomial in it, so they add nothing. Nor are they checked: T square
+    and invertible, with every generator block diagonal in T coordinates,
+    makes the whole algebra block diagonal, all that the blocks need."""
     gens = [(label, mat.a) for label, mat in side if label > 0]
     roots = None
     if m >= _MIN_SPLIT_DIM:
@@ -156,12 +159,27 @@ def _split(field: PrimeField, m: int, side: tuple[SideEntry, ...], name: str) ->
     if roots is None or len(roots) < 2:
         return Blocks((), (0, m), (_close(field, m, gens),))
     idem = _idempotents(field, roots, powers).reshape(-1, m, m)
-    _check_idempotents(field, idem, gens, name)
     cols = [e[:, EchelonState(field, m).extend_batch(e.T)] for e in idem]
     t = np.concatenate(cols, axis=1)
-    t_inv = SquareMatrix(field, t).inverse().a
     offsets = (0, *itertools.accumulate(c.shape[1] for c in cols))
+    images = " | ".join(f"im e_{a}" for a in range(len(cols)))
+    singular = RelationValidationError(f"{name} side: T = [{images}] is not invertible")
+    if offsets[-1] != m:
+        raise singular
+    try:
+        t_inv = SquareMatrix(field, t).inverse().a
+    except SingularMatrixError:
+        raise singular from None
     mats = gemm_mod(field, t_inv, gemm_mod(field, np.stack([g for _, g in gens]), t))
+    # E_a·M − M·E_a, E_a projecting on block a, is M's block row and column a
+    # off the diagonal block
+    owner = np.repeat(np.arange(len(cols)), np.diff(offsets))
+    outside = owner[:, None] != owner
+    for (label, _), g in zip(gens, mats):
+        leak = (g != 0) & outside
+        for a in range(len(cols)):
+            if leak[owner == a].any() or leak[:, owner == a].any():
+                raise RelationValidationError(f"{name} side: e_{a}·s_{label} ≠ s_{label}·e_{a}")
     algebras = tuple(
         _close(field, hi - lo, [(label, g[lo:hi, lo:hi]) for (label, _), g in zip(gens, mats)])
         for lo, hi in itertools.pairwise(offsets)
@@ -285,28 +303,6 @@ def _idempotents(field: PrimeField, roots: list[int], powers: np.ndarray) -> np.
     return gemm_mod(field, np.array(coeffs, dtype=np.int64), powers)
 
 
-def _check_idempotents(field: PrimeField, idem: np.ndarray, gens, name: str) -> None:
-    """Raise RelationValidationError naming the side and the first identity
-    that fails, in the order e_a^2 = e_a, sum e_a = I, e_a s = s e_a."""
-    d = len(idem)
-
-    def checks():
-        sq = gemm_mod(field, idem, idem)
-        for a in range(d):
-            yield f"e_{a}·e_{a} ≠ e_{a}", np.array_equal(sq[a], idem[a])
-        total = idem.sum(axis=0) % field.p
-        yield " + ".join(f"e_{a}" for a in range(d)) + " ≠ I", np.array_equal(
-            total, field.identity_array(idem.shape[1]))
-        for label, g in gens:
-            left, right = gemm_mod(field, idem, g), gemm_mod(field, g, idem)
-            for a in range(d):
-                yield f"e_{a}·s_{label} ≠ s_{label}·e_{a}", np.array_equal(left[a], right[a])
-
-    for what, ok in checks():
-        if not ok:
-            raise RelationValidationError(f"{name} side: {what}")
-
-
 def _close(field: PrimeField, n: int, gens) -> Algebra:
     """The identity closed under left multiplication by the n x n arrays of
     the (label, array) pairs gens, breadth first, dependent words dropped: a
@@ -373,8 +369,9 @@ class DecoratedBasis:
 
     The entries are those of the blocks, in order. entries is formed on
     first read, with every value in the original coordinates; express and
-    substitute never read it. echelon answers in_span and solve on
-    flattened m x m matrices: the one block's echelon state, or the blocks'.
+    substitute never read it. echelon is the span's EchelonState on
+    flattened m x m matrices: the one block's, or, for several blocks, one
+    fed the entries' values in order, formed on first read.
     """
 
     core: SquareMatrix
@@ -414,29 +411,12 @@ class DecoratedBasis:
         return out
 
     @functools.cached_property
-    def echelon(self):
-        return self.blocks[0].echelon if len(self.blocks) == 1 else _BlockEchelon(self)
-
-
-@dataclass(frozen=True, eq=False)
-class _BlockEchelon:
-    """in_span and solve of flattened m x m matrices against a split basis."""
-
-    basis: DecoratedBasis
-
-    @property
-    def rank(self) -> int:
-        return self.basis.dim
-
-    def solve(self, v) -> np.ndarray | None:
-        m, f = self.basis.core.dim, self.basis.field
-        try:
-            return express(self.basis, SquareMatrix(f, np.asarray(v).reshape(m, m) % f.p))
-        except NotInSpanError:
-            return None
-
-    def in_span(self, v) -> bool:
-        return self.solve(v) is not None
+    def echelon(self) -> EchelonState:
+        if len(self.blocks) == 1:
+            return self.blocks[0].echelon
+        state = EchelonState(self.field, self.core.dim ** 2)
+        state.extend_batch(np.stack([e.value.a.reshape(-1) for e in self.entries]))
+        return state
 
 
 def _confirm_rows(p: int) -> int:

@@ -420,8 +420,8 @@ PINNED_COUNTS = [
 # attack on split sides. One block, the counts were (46176886, 45066194,
 # 408) for protocol 1 and (142227938, 139695831, 832) for protocol 2.
 PINNED_SPLIT_COUNTS = [
-    (1, (46, 46, 46), (4603563, 4396883, 470)),
-    (2, (172, 172, 172), (9933036, 9459753, 956)),
+    (1, (46, 46, 46), (4142571, 3952355, 470)),
+    (2, (172, 172, 172), (9011052, 8570697, 956)),
 ]
 
 

@@ -70,25 +70,28 @@ def _expected_sizes(kind, n, k):
 
 @pytest.mark.parametrize("kind,n", [("lk", 5), ("lk", 6), ("lk", 7), ("lk", 8),
                                     ("burau", 6), ("burau", 9)])
-def test_idempotents_of_both_sides(kind, n):
-    # called directly, below the split threshold too: e^2 = e, sum e = I,
-    # each e_a commutes with the side and has the expected rank
+def test_idempotents_of_both_sides(monkeypatch, kind, n):
+    # through the side set-up, below the split threshold too: T is
+    # invertible, T^-1 s T is block diagonal for every generator and
+    # inverse, and each block's projection is the Lagrange idempotent of an
+    # independently evaluated z at the side's roots, of the expected rank
+    monkeypatch.setattr(span, "_MIN_SPLIT_DIM", 1)
     r = rep(kind, n)
     f, m = r.field, r.dim
     pair = bb.commuting_subgroups(r, bb.default_split(n))
     for gens in (pair.a_gens, pair.b_gens):
-        side = [(g.index, g.mat.a) for g in gens]
-        poly, powers = span._min_poly(f, span._full_twist(f, m, side))
-        roots = span._roots(poly, f.p)
-        idem = span._idempotents(f, roots, powers).reshape(-1, m, m)
-        assert (span.gemm_mod(f, idem, idem) == idem).all()
-        assert (idem.sum(axis=0) % f.p == np.eye(m, dtype=np.int64)).all()
-        span._check_idempotents(f, idem, side, "left")
-        sizes = sorted(plain_rref_rank(e.tolist(), f.p) for e in idem)
-        assert sizes == _expected_sizes(kind, n, len(gens) + 1)
-        # the same idempotents from an independent evaluation of z
-        twist = full_twist(bb.SideSpec.expand(gens), f, m)
-        assert [e.a.tolist() for e in lagrange_idempotents(twist, roots)] == idem.tolist()
+        side = bb.SideSpec.expand(gens)
+        blocks, _ = bb.SideSpec(side, side).blocks(f, m)
+        t, t_inv = bb.SquareMatrix(f, blocks.t), bb.SquareMatrix(f, blocks.t_inv)
+        assert t @ t_inv == bb.SquareMatrix.identity(f, m)
+        sizes = np.diff(blocks.offsets)
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        for _, g in side:
+            assert not (t_inv @ g @ t).a[owner[:, None] != owner].any()
+        idem = lagrange_idempotents(full_twist(side, f, m), blocks.roots)
+        assert [blocks.idempotent(f, a) for a in range(len(sizes))] == idem
+        assert list(sizes) == [plain_rref_rank(e.a.tolist(), f.p) for e in idem]
+        assert sorted(sizes) == _expected_sizes(kind, n, len(gens) + 1)
 
 
 def _lk7_sides():
@@ -152,7 +155,7 @@ def test_zero_block_cores_and_named_misses():
 def test_attacks_below_m_16_never_split(monkeypatch, protocol_id, rep_kind, n):
     # m = 10, 15 and 15: no z, no minimal polynomial, no idempotents
     calls = []
-    for name in ("_full_twist", "_min_poly", "_roots", "_idempotents", "_check_idempotents"):
+    for name in ("_full_twist", "_min_poly", "_roots", "_idempotents"):
         monkeypatch.setattr(span, name, lambda *a, name=name: calls.append(name))
     run = honest_run(protocol_id, rep_kind, n, seed=2)
     assert bb.verify_against_oracle(bb.attack_transcript(run.transcript), run)
@@ -178,6 +181,37 @@ def test_a_failed_idempotent_check_is_a_named_error(monkeypatch, tmp_path, capsy
     assert main(["attack", str(t)]) == 1
     err = capsys.readouterr().err
     assert err == "error: RelationValidationError: left side: e_0·s_4 ≠ s_4·e_0\n"
+
+
+@pytest.mark.parametrize("rows", [[0, 0, 2], [0, 0, 1, 2]])
+def test_a_singular_t_is_a_named_error(monkeypatch, tmp_path, capsys, rows):
+    # lk n=7, block sizes 6, 6, 9: e_0 repeated in place of e_1 makes T
+    # square and singular, and in front of e_1 makes it 21 x 27; the API
+    # and the CLI name the side and T
+    idempotents = span._idempotents
+    monkeypatch.setattr(span, "_idempotents", lambda *a: idempotents(*a)[rows])
+    run = honest_run(1, "lk", 7, seed=3)
+    images = " | ".join(f"im e_{a}" for a in range(len(rows)))
+    message = f"left side: T = [{images}] is not invertible"
+    with pytest.raises(bb.RelationValidationError) as exc:
+        bb.attack_transcript(run.transcript)
+    assert str(exc.value) == message
+    t = tmp_path / "t.json"
+    t.write_text(bb.write_transcript(run))
+    capsys.readouterr()
+    assert main(["attack", str(t)]) == 1
+    assert capsys.readouterr().err == f"error: RelationValidationError: {message}\n"
+
+
+def test_a_split_basis_echelon_holds_the_entries():
+    # lk n=7, nine block pairs: echelon is one state over m x m matrices,
+    # fed the entries' values in order, all of them independent
+    r, sides = _lk7_sides()
+    basis = bb.build_decorated_basis(random_word_matrix(r, random.Random(9)), sides["mixed"])
+    assert len(basis.blocks) == 9
+    assert basis.echelon.rank == basis.dim
+    assert np.array_equal(basis.echelon.originals,
+                          np.stack([e.value.a.reshape(-1) for e in basis.entries]))
 
 
 def test_a_target_outside_a_block_names_the_block():
