@@ -152,9 +152,13 @@ class SquareMatrix:
         return SquareMatrix(self.field, gemm_mod(self.field, self.a, other.a))
 
     def inverse(self) -> "SquareMatrix":
-        """Exact inverse; raises SingularMatrixError. a is invertible iff its
-        rank profile accepts all m rows, and then a x = I for x[pivots] =
-        a[:, pivots]^-1, the inverse the profile returns."""
+        """Exact inverse; raises SingularMatrixError, or ValueError if a is
+        not square. a is invertible iff its rank profile accepts all m rows,
+        and then a x = I for x[pivots] = a[:, pivots]^-1, the inverse the
+        profile returns."""
+        k, c = self.a.shape
+        if k != c:
+            raise ValueError(f"expected a square matrix, got {k} x {c}")
         _, pivots, inv = row_rank_profile(self.field, self.a)
         if len(pivots) < self.dim:
             raise SingularMatrixError(f"singular matrix (rank < {self.dim})")

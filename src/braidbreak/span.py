@@ -42,7 +42,7 @@ from .matrix import EchelonState, SquareMatrix, gemm_mod
 
 SideEntry = tuple[int, SquareMatrix]  # (signed Artin label, multiplier)
 
-# Blocks of sampled rows start at one row and double up to this many.
+# A block of sampled rows past the first is at most this many rows long.
 _MAX_BLOCK = 64
 
 # A stop before saturation has probability at most 2^-_FALSE_STOP_BITS per block.
@@ -474,15 +474,17 @@ def _sample(field: PrimeField, a: int, b: int, core: np.ndarray,
             left: Algebra, right: Algebra) -> Block:
     """Sample Sp(left * core * right) for an n_a x n_b core.
 
-    Row 0 is the core itself (P = Q = I). Then blocks of random P * core * Q,
-    three products a block, are fed to the echelon state, which keeps the
-    rows independent of those before them. Blocks grow from one row to
-    _MAX_BLOCK, and never past the rows that could still reach full rank; a
-    block that ends in rows it did not keep has probably saturated, so the
-    next is only as long as confirmation needs.
+    Blocks of random P * core * Q, three products a block, are fed to the
+    echelon state, which keeps the rows independent of those before them.
     Sampling stops when the rank reaches dim A_a * dim A_b (or n_a * n_b),
     which proves saturation, or when the last _confirm_rows(p) rows added
-    nothing.
+    nothing. The first block is the core itself (P = Q = I) and one such
+    confirmation run, cut to the rows that could still reach full rank; so
+    a span of rank 1 to _confirm_rows(p) is confirmed in that block plus at
+    most one more. (A first block of _MAX_BLOCK rows overdraws such spans.)
+    A block that ends in rows it did not keep has probably saturated, so
+    the next completes the confirmation run; otherwise the next is every
+    row still short of full rank, up to _MAX_BLOCK.
     """
     na, nb = core.shape
     state = EchelonState(field, na * nb)
@@ -493,24 +495,32 @@ def _sample(field: PrimeField, a: int, b: int, core: np.ndarray,
     # seeded from p and the core's residues (random.Random hashes a str
     # seed with SHA-512), so every output is a function of the inputs
     rng = random.Random(f"{field.p}:{core.reshape(-1).tolist()}")
-    state.extend_batch(core.reshape(1, -1))
-    rho, sigma = [field.zeros((1, left.dim))], [field.zeros((1, right.dim))]
-    rho[0][0, 0] = sigma[0][0, 0] = 1  # word 0 of each algebra is the identity
     # core * B_j for every word B_j of A_b, so that core * Q = sigma . core_right
     core_right = gemm_mod(field, core, right.mats.reshape(-1, nb, nb)).reshape(right.dim, -1)
-    drawn, run, size = 1, 0, 1
-    while state.rank < full and run < need:
+
+    def draw(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         r_blk = _draw(rng, field, (size, left.dim))
         s_blk = _draw(rng, field, (size, right.dim))
         p_blk = gemm_mod(field, r_blk, left.mats).reshape(size, na, na)
         cq_blk = gemm_mod(field, s_blk, core_right).reshape(size, na, nb)
-        block = gemm_mod(field, p_blk, cq_blk).reshape(size, -1)
+        return r_blk, s_blk, gemm_mod(field, p_blk, cq_blk).reshape(size, -1)
+
+    r_blk, s_blk = field.zeros((1, left.dim)), field.zeros((1, right.dim))
+    r_blk[0, 0] = s_blk[0, 0] = 1  # word 0 of each algebra is the identity
+    block = core.reshape(1, -1)
+    if full > 1:
+        r_blk, s_blk, block = (np.concatenate(pair) for pair in zip(
+            (r_blk, s_blk, block), draw(min(full - 1, need))))
+    rho, sigma, drawn, run = [], [], 0, 0
+    while True:
         kept = np.flatnonzero(state.extend_batch(block))
         rho.append(r_blk[kept])
         sigma.append(s_blk[kept])
-        drawn += size
-        run = size - 1 - int(kept[-1]) if len(kept) else run + size
-        size = need - run if run else min(2 * size, _MAX_BLOCK, full - state.rank)
+        drawn += len(block)
+        run = len(block) - 1 - int(kept[-1]) if len(kept) else run + len(block)
+        if state.rank == full or run >= need:
+            break
+        r_blk, s_blk, block = draw(need - run if run else min(_MAX_BLOCK, full - state.rank))
     return Block(a, b, core, np.concatenate(rho), np.concatenate(sigma), state, drawn)
 
 

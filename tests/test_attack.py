@@ -409,10 +409,10 @@ def test_message_swap_outcomes_pinned():
 # CHANGES.md, with the old and the new values.
 PINNED_COUNTS = [
     # (protocol, rep, stage dims, (mul, add, inv)) at n=5, seed 31
-    (1, "lk", (40, 40, 40), (1758831, 1660941, 184)),
-    (1, "burau", (9, 9, 9), (43491, 36366, 57)),
-    (2, "lk", (31, 31, 31), (768463, 708556, 160)),
-    (2, "burau", (8, 8, 8), (29042, 23516, 56)),
+    (1, "lk", (40, 40, 40), (1969593, 1866648, 184)),
+    (1, "burau", (9, 9, 9), (65982, 56562, 57)),
+    (2, "lk", (31, 31, 31), (931297, 863251, 160)),
+    (2, "burau", (8, 8, 8), (29711, 24170, 56)),
 ]
 
 
@@ -420,8 +420,8 @@ PINNED_COUNTS = [
 # attack on split sides. One block, the counts were (46176886, 45066194,
 # 408) for protocol 1 and (142227938, 139695831, 832) for protocol 2.
 PINNED_SPLIT_COUNTS = [
-    (1, (46, 46, 46), (4142571, 3952355, 470)),
-    (2, (172, 172, 172), (9011052, 8570697, 956)),
+    (1, (46, 46, 46), (5105775, 4845713, 470)),
+    (2, (172, 172, 172), (9360534, 8917212, 956)),
 ]
 
 

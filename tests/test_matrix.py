@@ -63,6 +63,15 @@ def test_inverse_singular_raises():
         singular.inverse()
 
 
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3), (21, 27)])
+def test_inverse_rejects_a_non_square_array(shape):
+    f = field()
+    rng = np.random.default_rng(5)
+    a = bb.SquareMatrix(f, rng.integers(0, f.p, size=shape, dtype=np.int64))
+    with pytest.raises(ValueError, match=f"expected a square matrix, got {shape[0]} x {shape[1]}"):
+        a.inverse()
+
+
 def test_try_extend_basics():
     f = field()
     state = EchelonState(f, 9)

@@ -216,14 +216,14 @@ def test_transcript_bytes_pinned(config):
 # SHA-256 of the report and the bases that `attack --out --dump-bases` writes
 # for the transcript of (protocol, rep, n=5, seed=1): (report, bases).
 REPORT_DIGESTS = {
-    (1, "lk"): ("f715bea498580774d9bc829071b57a3775b3ef87d2c31bd738b9a2e840ad4acc",
-                "1e1ece47a1251237e2d668db74afb37f1e581588a8a05d15a325aec18b48c977"),
-    (1, "burau"): ("6f00242fa981448a700e61359bcb4c084b80a847b7c13a00f9e2e2725cc435c2",
-                   "399a1a0b8cf5265a43e6013bae27448474d043b522333658722b89eba846d5fe"),
-    (2, "lk"): ("e9e93e654fdbfc3ef4783f98b87a26b4b2df625dff15899afccf43b1647bc8c7",
-                "a562877203aee8a49bb8c3dd6e7bf7edb97f2ee17ff0f01b007fc9d00e57e39c"),
-    (2, "burau"): ("7717d52a3120df5560a677a91a09e700306605c3873e0065c5b7c69b2d6b2709",
-                   "2655e9e83530751bb2dcd9465a723301a321cc395403415fa2a290fe9f67bbc6"),
+    (1, "lk"): ("1e47fd5fd3c659fe728efece349424c0bb2341024e78d323d7d57f8878ccdd92",
+                "f65db45862be59d09ef05996773d3e2062288ce2472b8b2bcda4b36267c2ed37"),
+    (1, "burau"): ("bc7aebd9095aa844276b20e986f420bb9cc0ca4e2de8c03dae7294974dfa67e8",
+                   "7fb47f4059837e63a3b685009cc2c4c8353f86743f0afc1a0ab64ecd28ec686c"),
+    (2, "lk"): ("8f60066c8fa062dea1fb508cbbdbcca9b9f4e72c292a48d2ce0558034f316bc8",
+                "58cd0b885c519338f63412e6776639f525a7fa1c2f90745024ea348fb02f833d"),
+    (2, "burau"): ("7bda18ac772f7da6bf6ab3bf2d7d2d384513036beba3e8aa8569b3edf5643bb7",
+                   "dc7b042b284b611a7125943f3e639455bad4224b98daa171cfd1ff411b8b43d8"),
 }
 
 

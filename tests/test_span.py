@@ -1,6 +1,7 @@
 """Decorated-basis construction, expression, substitution, equivariance."""
 
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -295,6 +296,38 @@ def test_sampled_basis_is_deterministic():
     assert blk_one.sigma.tobytes() == blk_two.sigma.tobytes()
     assert [e.value.a.tobytes() for e in one.entries] == \
         [e.value.a.tobytes() for e in two.entries]
+
+
+def test_each_block_pair_samples_the_core_with_one_run_then_jumps(monkeypatch):
+    # one split build (p2 lk n=8): every block pair's first elimination is
+    # its core and one confirmation run, and after it every block is either
+    # a confirmation run or one jump of up to _MAX_BLOCK rows, never a
+    # doubling
+    t = honest_run(2, "lk", 8, seed=31).transcript
+    sides = bb.SideSpec.mixed(t.b_gens, t.a_gens)
+    sides.blocks(t.field, t.dim)  # set up first: only sampling is spied on
+    calls = []
+    extend_batch = bb.matrix.EchelonState.extend_batch
+
+    def spy(state, block):
+        calls.append((state, block.copy()))
+        return extend_batch(state, block)
+
+    monkeypatch.setattr(bb.matrix.EchelonState, "extend_batch", spy)
+    basis = bb.build_decorated_basis(t.w, sides)
+    need = bb.span._confirm_rows(t.field.p)
+    assert len(basis.blocks) > 1 and basis.dim == 172
+    for blk in basis.blocks:
+        left, right = basis.left.algebras[blk.a], basis.right.algebras[blk.b]
+        full = min(left.dim * right.dim, blk.core.size)
+        mine = [block for state, block in calls if state is blk.echelon]
+        assert len(mine) <= 2 + math.ceil(max(full - 1 - need, 0) / bb.span._MAX_BLOCK)
+        if not blk.core.any():
+            continue
+        assert len(mine[0]) == 1 + min(full - 1, need)
+        assert np.array_equal(mine[0][0], blk.core.reshape(-1))
+        assert blk.rho[0].tolist() == [1] + [0] * (left.dim - 1)
+        assert blk.sigma[0].tolist() == [1] + [0] * (right.dim - 1)
 
 
 def test_basis_keeps_each_accepted_row_once():
