@@ -7,7 +7,8 @@ Constructors hard-validate the braid relations
     s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1},   s_i s_j = s_j s_i  (|i-j| >= 2)
 
 on the generator images, so a transcription slip in the action formulas can
-never leak into an experiment. The key-exchange protocols run on these
+never leak into an experiment. Both builders invert the images with one
+elimination (_with_inverses). The key-exchange protocols run on these
 matrix images; faithfulness is never needed, only the homomorphism property.
 """
 
@@ -90,11 +91,12 @@ def sample_word(
 class Representation:
     """Matrix images of the Artin generators, validated at construction.
 
-    gen_images[i-1] holds (image, exact inverse image) of s_i; params holds
-    the specialized residues (q, t), q None for Burau. Construction
-    raises RelationValidationError if any image is singular, any stored
-    inverse is wrong, or any braid relation fails. Instances are never
-    mutated after validation and are safe to share across parallel trials.
+    gen_images[i-1] holds (image, exact inverse image) of s_i, both builders
+    forming the inverses with _with_inverses; params holds the specialized
+    residues (q, t), q None for Burau. Construction raises
+    RelationValidationError if any image is singular, any stored inverse is
+    wrong, or any braid relation fails. Instances are never mutated after
+    validation and are safe to share across parallel trials.
     """
 
     def __init__(
@@ -188,6 +190,20 @@ def representation(field: PrimeField, rep_kind: str, n: int, q: int, t: int) -> 
     raise ValueError(f"rep_kind must be one of {REP_KINDS}, got {rep_kind!r}")
 
 
+def _with_inverses(mats: list[SquareMatrix]) -> list[tuple[SquareMatrix, SquareMatrix]]:
+    """Pair the images of s_1..s_{n-1} with their inverses, by one elimination:
+    with δ = s_1⋯s_{n-1}, s_i^-1 = (s_{i+1}⋯s_{n-1}) δ^-1 (s_1⋯s_{i-1}), empty
+    products skipped. That is δ's definition, not a braid relation; a singular
+    image makes δ singular, and its inverse raises SingularMatrixError."""
+    prefix = list(itertools.accumulate(mats, SquareMatrix.__matmul__))  # s_1⋯s_i
+    left = prefix.pop().inverse()  # (s_{i+1}⋯s_{n-1}) δ^-1, for i = n-1 down to 1
+    invs = []
+    for i in range(len(mats) - 1, 0, -1):
+        invs.append(left @ prefix[i - 1])
+        left = mats[i] @ left
+    return list(zip(mats, reversed(invs + [left])))
+
+
 def lk_representation(field: PrimeField, n: int, q: int, t: int) -> Representation:
     """Lawrence-Krammer representation of B_n, dimension n(n-1)/2.
 
@@ -231,9 +247,8 @@ def lk_representation(field: PrimeField, n: int, q: int, t: int) -> Representati
             else:  # i == u
                 put((s, u), (1 - qv) % p)
                 put((s, u + 1), qv)
-        mat = SquareMatrix(field, arr)
-        images.append((mat, mat.inverse()))
-    return Representation(field, n, images, (qv, tv))
+        images.append(SquareMatrix(field, arr))
+    return Representation(field, n, _with_inverses(images), (qv, tv))
 
 
 def burau_representation(field: PrimeField, n: int, t: int) -> Representation:
@@ -254,9 +269,8 @@ def burau_representation(field: PrimeField, n: int, t: int) -> Representation:
         arr[i - 1, i] = tv
         arr[i, i - 1] = 1
         arr[i, i] = 0
-        mat = SquareMatrix(field, arr)
-        images.append((mat, mat.inverse()))
-    return Representation(field, n, images, (None, tv))
+        images.append(SquareMatrix(field, arr))
+    return Representation(field, n, _with_inverses(images), (None, tv))
 
 
 @dataclass(frozen=True)

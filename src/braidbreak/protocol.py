@@ -342,7 +342,7 @@ def _mat(field: PrimeField, rows, dim: int, name: str) -> SquareMatrix:
     entries = list(itertools.chain.from_iterable(rows))
     if set(map(type, entries)) <= _INT_TYPES:
         try:
-            flat = np.fromiter(map(int, entries), np.int64, dim * dim)
+            flat = np.array(entries, dtype=np.int64)
             return SquareMatrix(field, np.remainder(flat, field.p).reshape(dim, dim))
         except (ValueError, OverflowError):
             pass  # a string that is not decimal, or an entry beyond int64

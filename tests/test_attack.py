@@ -409,10 +409,10 @@ def test_message_swap_outcomes_pinned():
 # CHANGES.md, with the old and the new values.
 PINNED_COUNTS = [
     # (protocol, rep, stage dims, (mul, add, inv)) at n=5, seed 31
-    (1, "lk", (40, 40, 40), (1969593, 1866648, 184)),
-    (1, "burau", (9, 9, 9), (65982, 56562, 57)),
-    (2, "lk", (31, 31, 31), (931297, 863251, 160)),
-    (2, "burau", (8, 8, 8), (29711, 24170, 56)),
+    (1, "lk", (40, 40, 40), (1971993, 1868748, 154)),
+    (1, "burau", (9, 9, 9), (66207, 56712, 42)),
+    (2, "lk", (31, 31, 31), (933697, 865351, 130)),
+    (2, "burau", (8, 8, 8), (29936, 24320, 41)),
 ]
 
 
@@ -420,8 +420,8 @@ PINNED_COUNTS = [
 # attack on split sides. One block, the counts were (46176886, 45066194,
 # 408) for protocol 1 and (142227938, 139695831, 832) for protocol 2.
 PINNED_SPLIT_COUNTS = [
-    (1, (46, 46, 46), (5105775, 4845713, 470)),
-    (2, (172, 172, 172), (9360534, 8917212, 956)),
+    (1, (46, 46, 46), (5228079, 4963313, 302)),
+    (2, (172, 172, 172), (9482838, 9034812, 788)),
 ]
 
 

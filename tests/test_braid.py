@@ -5,7 +5,7 @@ import random
 import pytest
 
 import braidbreak as bb
-from braidbreak.braid import default_split, representation
+from braidbreak.braid import _with_inverses, default_split, representation
 
 from helpers import field, rep
 
@@ -138,6 +138,61 @@ def test_gen_image_count_checked():
     r = rep("burau", 4)
     with pytest.raises(ValueError):
         bb.Representation(r.field, 4, list(r.gen_images)[:2], r.params)
+
+
+# -- generator inverses ------------------------------------------------------
+
+@pytest.mark.parametrize("kind,n", [("lk", 3), ("lk", 8), ("burau", 3), ("burau", 16)])
+def test_each_build_runs_one_elimination(monkeypatch, kind, n):
+    # the inverse of δ = s_1⋯s_{n-1}; the n-1 generator inverses are products
+    dims = []
+    inverse = bb.SquareMatrix.inverse
+    monkeypatch.setattr(bb.SquareMatrix, "inverse", lambda m: dims.append(m.dim) or inverse(m))
+    r = representation(field(), kind, n, 3, 7)
+    assert dims == [r.dim]
+
+
+def _bigint_inverse(a: list[list[int]], p: int) -> list[list[int]]:
+    """Gauss-Jordan on [a | I] in python ints, each row a {column: value}
+    dict, so that the sparse generator images stay cheap."""
+    m = len(a)
+    rows = [{j: x for j, x in enumerate(row) if x} | {m + i: 1} for i, row in enumerate(a)]
+    for c in range(m):
+        k = next(k for k in range(c, m) if c in rows[k])
+        rows[c], rows[k] = rows[k], rows[c]
+        scale = pow(rows[c][c], -1, p)
+        pivot = rows[c] = {j: x * scale % p for j, x in rows[c].items()}
+        for row in rows:
+            x = row.get(c)
+            if row is pivot or not x:
+                continue
+            for j, y in pivot.items():
+                v = (row.get(j, 0) - x * y) % p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+    return [[row.get(m + j, 0) for j in range(m)] for row in rows]
+
+
+@pytest.mark.parametrize("p", [bb.DEFAULT_PRIME, 3037000493])
+@pytest.mark.parametrize("kind,ns", [("lk", range(3, 10)), ("burau", range(3, 25))])
+def test_stored_inverses_match_a_bigint_inverse(p, kind, ns):
+    # n = 3 has two generators: s_1^-1 = s_2 δ^-1 and s_2^-1 = δ^-1 s_1
+    f = bb.PrimeField(p)
+    rng = random.Random(p)
+    for n in ns:
+        r = representation(f, kind, n, rng.randrange(2, p), rng.randrange(1, p))
+        for i, (g, g_inv) in enumerate(r.gen_images, start=1):
+            assert g_inv.a.tolist() == _bigint_inverse(g.a.tolist(), p), (kind, n, i)
+
+
+def test_singular_image_makes_delta_singular():
+    f = field()
+    images = [g for g, _ in rep("burau", 5).gen_images]
+    images[2] = bb.SquareMatrix(f, f.zeros((5, 5)))
+    with pytest.raises(bb.SingularMatrixError):
+        _with_inverses(images)
 
 
 # -- evaluation --------------------------------------------------------------

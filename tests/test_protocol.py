@@ -216,13 +216,13 @@ def test_transcript_bytes_pinned(config):
 # SHA-256 of the report and the bases that `attack --out --dump-bases` writes
 # for the transcript of (protocol, rep, n=5, seed=1): (report, bases).
 REPORT_DIGESTS = {
-    (1, "lk"): ("1e47fd5fd3c659fe728efece349424c0bb2341024e78d323d7d57f8878ccdd92",
+    (1, "lk"): ("c849ccf6c9a9a976f4dc9a007f9cbcdd6380da1b80fdecdcd6eb242c2e585d98",
                 "f65db45862be59d09ef05996773d3e2062288ce2472b8b2bcda4b36267c2ed37"),
-    (1, "burau"): ("bc7aebd9095aa844276b20e986f420bb9cc0ca4e2de8c03dae7294974dfa67e8",
+    (1, "burau"): ("4d0e06cee371b9f094c2f3de42f4e7962b77cdd894f83c6d32bc8b237fc1425c",
                    "7fb47f4059837e63a3b685009cc2c4c8353f86743f0afc1a0ab64ecd28ec686c"),
-    (2, "lk"): ("8f60066c8fa062dea1fb508cbbdbcca9b9f4e72c292a48d2ce0558034f316bc8",
+    (2, "lk"): ("a93cef1f91e7dc55bd2d218c7994fde7be44d2ffb0e5176db9aca9d43b9db9b5",
                 "58cd0b885c519338f63412e6776639f525a7fa1c2f90745024ea348fb02f833d"),
-    (2, "burau"): ("7bda18ac772f7da6bf6ab3bf2d7d2d384513036beba3e8aa8569b3edf5643bb7",
+    (2, "burau"): ("b64bf25e5bb6a17b1e96275d4f93cd267e41b2ad44b5420e2625e83d4b32bdec",
                    "dc7b042b284b611a7125943f3e639455bad4224b98daa171cfd1ff411b8b43d8"),
 }
 
@@ -321,3 +321,27 @@ def test_read_transcript_matrix_entries(row, expected, p):
     assert t.x.a[0].tolist() == [x % p for x in expected]
     assert t.x.a[1:].tolist() == run.transcript.x.a[1:].tolist()
     assert t.x.a.dtype == run.transcript.x.a.dtype
+
+
+@pytest.mark.parametrize("row,expected,per_entry", [
+    ([" 12", "1_0", "+5", "-3"], [12, 10, 5, -3], False),
+    (["٣", 7, "-3", "0"], [3, 7, -3, 0], False),
+    (["9" * 25, " 12", "1_0", "٣"], [int("9" * 25), 12, 10, 3], True),  # beyond int64
+    (["12.0", 1, 2, 3], "transcript field x[0][0] is not an integer: '12.0'", True),
+    ([1, "x", 2, 3], "transcript field x[0][1] is not an integer: 'x'", True),
+])
+def test_matrix_entries_read_as_int_reads_them(monkeypatch, row, expected, per_entry):
+    # rows that fit int64 are read in one conversion, the rest entry by entry
+    seen = []
+    as_int = bb.protocol._as_int
+    monkeypatch.setattr(bb.protocol, "_as_int", lambda v, name: seen.append(name) or as_int(v, name))
+    doc = json.loads(bb.write_transcript(honest_run(1, "burau", 4, seed=5)))
+    doc["x"][0] = row
+    if isinstance(expected, str):
+        with pytest.raises(bb.TranscriptFormatError) as exc:
+            bb.read_transcript(json.dumps(doc))
+        assert str(exc.value) == expected
+    else:
+        t, _ = bb.read_transcript(json.dumps(doc))
+        assert t.x.a[0].tolist() == [x % P for x in expected]
+    assert any(name.startswith("x[") for name in seen) == per_entry

@@ -9,8 +9,10 @@ and fixture of `simulate --out --fixture`, the report and bases of
 masked. For seeds 1 and 2 it also writes the summary of `demo --out` (lk
 n=5, two trials) and the records of `bench --out` (lk n=4, 5, both
 protocols), with their stdout. Run it on two checkouts; `diff -r` of the
-two directories is empty when they behave the same. The checkout's `src`
-is imported, so no install is needed.
+two directories is empty when they behave the same, and
+`tools/diff_artifacts.py` of them finds nothing when only counted
+operations moved. The checkout's `src` is imported, so no install is
+needed.
 """
 
 from __future__ import annotations
