@@ -76,8 +76,9 @@ class AttackReport:
 
     @property
     def bound_ratio(self) -> float:
-        """mul_count / bound_value, the empirical constant of the bound."""
-        return self.mul_count / self.bound_value
+        """Build mul of the stages over bound_value, the bound's empirical
+        constant; mul_count also holds the rebuild, express and substitute."""
+        return sum(s.build_mul_count for s in self.stages) / self.bound_value
 
     def to_document(self, include_timings: bool = False) -> dict:
         doc = {

@@ -2,8 +2,8 @@
 
 Counted multiplications are deterministic for a fixed seed, so repeated
 invocations produce identical tables. The empirical constant in the span
-bound shows up as the ratio column (mul_count / bound_value). The document,
-the table and the fits read (seed, AttackReport) pairs.
+bound shows up as the ratio column, the stages' build mul over bound_value.
+The document, the table and the fits read (seed, AttackReport) pairs.
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 The ambient vector space of the span machinery is the flattening of the m x m
 matrix algebra (dimension m^2). Everything is exact: arrays are int64 (the
-field bounds p by FAST_PATH_MAX) and gemm_mod runs three float64 BLAS
-multiplies, one per 11-bit limb of its smaller operand, against the other
-operand converted once (as in FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM
-TOMS 2008).
+field bounds p by FAST_PATH_MAX) and gemm_mod runs one float64 BLAS
+multiply per limb of its smaller operand, two 16-bit limbs where the depth
+allows and three 11-bit ones elsewhere, against the other operand converted
+once (as in FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 2008).
 Elimination has one kernel, row_rank_profile, which halves blocks so that
 nearly all its work is gemm_mod (Jeannerod, Pernet and Storjohann, "Rank-
 profile revealing Gaussian elimination and the CUP matrix decomposition",
@@ -39,11 +39,11 @@ _SMALL = 1024
 
 @functools.lru_cache(maxsize=None)
 def gemm_depth_limit(p: int) -> int:
-    """Deepest product that gemm_mod computes in one piece: the limb
-    products are exact while r (p-1)(2^11-1) < 2^53. That implies the first
-    Horner step D2 * 2^11 + D1 <= r (p-1)(top * 2^11 + 2^11 - 1) stays below
-    2^63: the top limb (p-1) >> 22 is at most 724 for p <= FAST_PATH_MAX,
-    so the step is below 2^53 * 725.4 < 2^62.51."""
+    """Deepest product that gemm_mod computes in one piece of 11-bit limbs:
+    their products are exact while r (p-1)(2^11-1) < 2^53. That implies
+    the first Horner step D2 * 2^11 + D1 <= r (p-1)(top * 2^11 + 2^11 - 1)
+    stays below 2^63: the top limb (p-1) >> 22 is at most 724 for
+    p <= FAST_PATH_MAX, so the step is below 2^53 * 725.4 < 2^62.51."""
     return ((1 << 53) - 1) // ((p - 1) * 2047)
 
 
@@ -51,59 +51,68 @@ def gemm_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact (..., k, r) @ (..., r, n) product of residue arrays, mod p.
 
     Supports broadcasting over leading (batch) axes. Counts k*r*n
-    multiplications and k*n*(r-1) additions per batch element.
+    multiplications and k*n*(r-1) additions per batch element. The limbs are
+    16 bits wide while r (p-1)(2^16-1) < 2^53 (r <= 64 at DEFAULT_PRIME, 45
+    at 3037000493), else 11 bits, in chunks of gemm_depth_limit(p).
     """
     p = field.p
     k, r, n = a.shape[-2], a.shape[-1], b.shape[-1]
     batch = max(math.prod(a.shape[:-2]), math.prod(b.shape[:-2]))
     field.ops.mul_count += batch * k * r * n
     field.ops.add_count += batch * k * n * max(r - 1, 0)
-    step = gemm_depth_limit(p)
-    out = _gemm_limbs(p, a[..., :step], b[..., :step, :])
+    width = 16 if r * (p - 1) * 0xFFFF < 1 << 53 else 11
+    step = gemm_depth_limit(p)  # above r when width is 16
+    out = _gemm_limbs(p, a[..., :step], b[..., :step, :], width)
     for lo in range(step, r, step):
-        out += _gemm_limbs(p, a[..., lo : lo + step], b[..., lo : lo + step, :])
+        out += _gemm_limbs(p, a[..., lo : lo + step], b[..., lo : lo + step, :], width)
     return out if r <= step else _mod(p, out)
 
 
-def _gemm_limbs(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """gemm_mod of depth <= gemm_depth_limit(p).
+def _gemm_limbs(p: int, a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
+    """gemm_mod of a depth at which the products of width-bit limbs are exact.
 
     Only the operand with fewer entries is split into limbs; the other is
     converted to float64 once, exactly, since residues are below 2^32. The
-    three limb products D2, D1, D0 are whole BLAS calls into one buffer.
+    limb products, top limb first, are whole BLAS calls into one buffer.
     Sliced, each would be a threaded call of well under a millisecond, and
     such a call stalls for a scheduler time slice whenever another process
     holds one of the CPUs. Each is folded into the int64 result by Horner,
-    in slices that stay in cache: y = D2, then y = (y * 2^11 + D) mod p.
+    in slices that stay in cache: y = D_top, then y = (y * 2^width + D) mod p.
     """
     swap = a.size > b.size  # split b, not a
-    x2, x1, x0 = _limbs(b if swap else a)
+    top, *rest = _limbs(b if swap else a, width)
     big = (a if swap else b).astype(np.float64)
-    d = np.matmul(big, x2) if swap else np.matmul(x2, big)
+    d = np.matmul(big, top) if swap else np.matmul(top, big)
     out = d.astype(np.int64)
     flat_out, flat_d = out.reshape(-1), d.reshape(-1)
     scratch = np.empty(min(out.size, _TAIL_SLICE), dtype=np.int64)
-    for x in (x1, x0):
+    for x in rest:
         np.matmul(big, x, out=d) if swap else np.matmul(x, big, out=d)
         for lo in range(0, out.size, _TAIL_SLICE):
             acc = flat_out[lo : lo + _TAIL_SLICE]
             t = scratch[: acc.size]
-            # D2 * 2^11 + D1 < 2^63, then (y mod p) * 2^11 + D0 < 2^54
-            acc <<= 11
+            # D2 * 2^11 + D1 < 2^63 (see gemm_depth_limit), but D1 * 2^16 is
+            # not, so the top is reduced first: (D1 mod p) * 2^16 + D0 < 2^54
+            if width == 16:
+                _mod(p, acc, t)
+            acc <<= width
             np.copyto(t, flat_d[lo : lo + _TAIL_SLICE], casting="unsafe")
             acc += t
             _mod(p, acc, t)
     return out
 
 
-def _limbs(x: np.ndarray) -> np.ndarray:
-    """The 11-bit limbs x2, x1, x0 of x = x2 * 2^22 + x1 * 2^11 + x0, as
-    float64, written with no int64 temporaries."""
-    out = np.empty((3,) + x.shape)
-    np.right_shift(x, 22, out=out[0], casting="unsafe")
-    np.bitwise_and(x, 2047 << 11, out=out[1], casting="unsafe")
-    out[1] *= 2.0**-11
-    np.bitwise_and(x, 2047, out=out[2], casting="unsafe")
+def _limbs(x: np.ndarray, width: int) -> np.ndarray:
+    """The width-bit limbs of x < 2^32, top limb first, as float64: two for
+    width 16 (x >> 16, x & 0xFFFF), three for width 11 (x >> 22, then two
+    masked limbs scaled down), written with no int64 temporaries."""
+    top = 31 // width * width  # 22 or 16
+    out = np.empty((top // width + 1,) + x.shape)
+    np.right_shift(x, top, out=out[0], casting="unsafe")
+    for i, shift in enumerate(range(top - width, -1, -width), 1):
+        np.bitwise_and(x, ((1 << width) - 1) << shift, out=out[i], casting="unsafe")
+        if shift:
+            out[i] *= 2.0**-shift
     return out
 
 
@@ -245,9 +254,9 @@ def _merge(
 
 def _profile_rows(field: PrimeField, x: np.ndarray):
     """row_rank_profile of a small block: Gauss-Jordan on [x | I], one row at
-    a time. An accepted row is only ever reduced by accepted rows, so the
-    identity part of the accepted rows, on their own columns, ends as the
-    inverse of their pivot block."""
+    a time, each one update and one reduction. An accepted row is only ever
+    reduced by accepted rows, so the identity part of the accepted rows, on
+    their own columns, ends as the inverse of their pivot block."""
     p, (k, c) = field.p, x.shape
     x = np.concatenate([x, field.identity_array(k)], axis=1)
     rows, pivots = [], []
@@ -256,12 +265,17 @@ def _profile_rows(field: PrimeField, x: np.ndarray):
         if not len(nz):
             continue
         j = int(nz[0])
-        x[i] = _mod(p, x[i] * field.inverse_int(int(x[i, j])))
-        col = x[:, j].copy()
-        col[i] = 0
-        # clears column j from the rows still to come and the rows accepted
-        x = _sub_mod(field, x, _mod(p, col[:, None] * x[i]))
+        seg = x[:, j : c + i + 1]  # row i is zero outside these columns
+        inv = field.inverse_int(int(seg[i, 0]))
+        # one update scales row i by inv and clears column j from the other
+        # rows: row h gains coef[h] * row i, below (p - 1) + (p - 1)^2 < 2^63
+        coef = seg[:, 0] * (p - inv) % p
+        coef[i] = inv - 1
+        y = coef[:, None] * seg[i]
+        y += seg
+        seg[...] = _mod(p, y)
         field.ops.mul_count += x.size + x.shape[1]
+        field.ops.add_count += x.size
         rows.append(i)
         pivots.append(j)
     kept = np.array(rows, dtype=np.intp)

@@ -441,3 +441,14 @@ def test_counted_ops_pinned(protocol_id, rep_kind, dims, ops):
 @pytest.mark.parametrize("protocol_id,dims,ops", PINNED_SPLIT_COUNTS)
 def test_split_counted_ops_pinned(protocol_id, dims, ops):
     _check_counts(protocol_id, "lk", 8, dims, ops)
+
+
+@pytest.mark.parametrize("protocol_id,rep_kind,dims,ops", PINNED_COUNTS)
+def test_bound_ratio_counts_only_the_stage_builds(protocol_id, rep_kind, dims, ops):
+    # the platform rebuild stays in op_counts but not in the ratio
+    report = bb.attack_transcript(honest_run(protocol_id, rep_kind, 5, seed=31).transcript)
+    assert report.op_counts == ops
+    build = sum(s.build_mul_count for s in report.stages)
+    assert report.bound_value == sum(s.bound_value for s in report.stages)
+    assert report.bound_ratio == build / report.bound_value
+    assert build < report.mul_count

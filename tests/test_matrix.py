@@ -303,6 +303,49 @@ def test_gemm_depth_limit_keeps_the_horner_step_in_int64():
         assert gemm_depth_limit(p) * (p - 1) * (top * 2048 + 2047) < 2**63, p
 
 
+@pytest.mark.parametrize("p", [bb.DEFAULT_PRIME, LARGEST_FAST_PRIME])
+def test_gemm_two_limb_depth_and_its_boundary(p, monkeypatch):
+    f = bb.PrimeField(p)
+    depth = {bb.DEFAULT_PRIME: 64, LARGEST_FAST_PRIME: 45}[p]
+    # r (p-1)(2^16-1) < 2^53 keeps the 16-bit limb products exact
+    assert depth * (p - 1) * 0xFFFF < 1 << 53 <= (depth + 1) * (p - 1) * 0xFFFF
+    widths = []
+    limbs = bb.matrix._gemm_limbs
+    monkeypatch.setattr(
+        bb.matrix, "_gemm_limbs", lambda p, a, b, w: widths.append(w) or limbs(p, a, b, w)
+    )
+    # p - 1, and the largest residue whose low 16-bit limb is 2^16 - 1
+    worst = sorted({p - 1, (p >> 16 << 16) - 1})
+    for u, v in itertools.product(worst, worst):
+        for r, width in ((depth, 16), (depth + 1, 11)):  # two limbs, then three
+            want = r * u * v % p  # every entry of the all-u by all-v product
+            shapes = [  # the operand with fewer entries is split
+                ((2, r), (r, 3)),  # plain, a split
+                ((3, r), (r, 2)),  # plain, b split
+                ((1, r), (r, 2)),  # a single row, a split
+                ((2, 2, r), (1, r, 2)),  # batch on the left, b split
+                ((1, 2, r), (2, r, 3)),  # batch on the right, a split
+                ((2, r), (2, r, 2)),  # 2-D against batched, a split
+                ((2, 3, r), (r, 1)),  # batched against 2-D, b split
+            ]
+            for sa, sb in shapes:
+                widths.clear()
+                got = gemm_mod(f, np.full(sa, u, dtype=np.int64), np.full(sb, v, dtype=np.int64))
+                assert widths == [width]
+                assert got.dtype == np.int64
+                assert got.shape == np.broadcast_shapes(sa[:-2], sb[:-2]) + (sa[-2], sb[-1])
+                assert (got == want).all(), (u, v, r, sa, sb)
+
+
+def test_two_limb_horner_step_and_leaf_update_stay_in_int64():
+    for p in [3, bb.DEFAULT_PRIME, LARGEST_FAST_PRIME, bb.field.FAST_PATH_MAX]:
+        assert (p - 1) >> 32 == 0  # two 16-bit limbs hold every residue
+        # (D1 mod p) * 2^16 + D0, with D0 <= r (p-1)(2^16-1) < 2^53
+        assert (p - 1) * 2**16 + 2**53 < 2**54, p
+        # the leaf's one update per row: (p - 1) + (p - 1)^2 <= p^2 - 1
+        assert (p - 1) + (p - 1) ** 2 <= p * p - 1 < 2**63, p
+
+
 @pytest.mark.parametrize("p", [3, bb.DEFAULT_PRIME, LARGEST_FAST_PRIME])
 def test_gemm_random_against_bigint(p):
     f = bb.PrimeField(p)
